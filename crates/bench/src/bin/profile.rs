@@ -10,8 +10,10 @@
 //!   anything unattributed is profiler blind spot),
 //! * the top components by exclusive time, and
 //! * under the event engine, per-wake-source dispatch accounting
-//!   (wakes, spurious ratio, cycles coalesced) plus scan-backoff
-//!   engagements.
+//!   (wakes, spurious ratio, cycles coalesced), and
+//! * per cube, the vault ticks run and skipped (exact work counts: the
+//!   polling engine ticks every vault, the event engine's wake calendar
+//!   only the due ones).
 //!
 //! The numbers land in `BENCH_profile.json`.
 //!
@@ -174,11 +176,21 @@ fn render(cells: &[Cell]) -> String {
                     w.cycles_skipped
                 ));
             }
+            out.push(']');
+        }
+        out.push_str(",\n     \"vault_ticks\": [");
+        for (j, v) in c.summary.vault_ticks.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
             out.push_str(&format!(
-                "],\n     \"backoff_engagements\": {}",
-                c.summary.backoff_engagements
+                "{{\"cube\": {j}, \"run\": {}, \"skipped\": {}, \"skipped_ratio\": {:.3}}}",
+                v.run,
+                v.skipped,
+                v.skipped_ratio()
             ));
         }
+        out.push(']');
         out.push('}');
     }
     out.push_str("\n  ]\n}\n");

@@ -4,11 +4,21 @@
 //! over one of the four full-duplex links, routed through the crossbar to
 //! the target vault controller, and answered over the reverse path. The
 //! request and response directions have independent lanes and token pools.
+//!
+//! **The vault calendar.** Under the event engine the cube keeps one cached
+//! wake cycle per vault and ticks only the vaults that are due. A vault's
+//! wake is recomputed from its own [`Wake::next_event`] right after it
+//! ticks, and re-armed (made due this cycle) by any input: every
+//! `try_enqueue`, accepted or refused, a snapshot restore, a fault-plan
+//! change, an engine switch, and `finalize`. Under the polling engine
+//! every vault ticks every cycle and the calendar stays fully armed, so
+//! polling remains the reference the calendar is checked against.
 
+use crate::system::Engine;
 use camps_link::packet::Packet;
 use camps_link::serdes::LinkSet;
 use camps_link::Crossbar;
-use camps_obs::{Comp, Point, Profiler, TraceHandle};
+use camps_obs::{Comp, Point, Profiler, TraceHandle, VaultTickStat};
 use camps_prefetch::SchemeKind;
 use camps_types::addr::AddressMapping;
 use camps_types::clock::Cycle;
@@ -26,6 +36,9 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Maximum host-controller queue depth (requests waiting for link tokens).
 const HOST_QUEUE_DEPTH: usize = 64;
 
+/// Calendar entry of a vault that sleeps until input arrives.
+const ASLEEP: Cycle = Cycle::MAX;
+
 /// The cube.
 pub struct HmcDevice {
     mapping: AddressMapping,
@@ -36,6 +49,15 @@ pub struct HmcDevice {
     req_xbar: Crossbar,
     resp_xbar: Crossbar,
     vaults: Vec<VaultController>,
+    /// The vault calendar: each vault's cached wake cycle ([`ASLEEP`] when
+    /// it waits for input). A vault ticks at `now` iff its entry is
+    /// `<= now`. Runtime-only; every entry is re-armed on restore.
+    wakes: Vec<Cycle>,
+    /// Polling engine: tick every vault every cycle, calendar unused.
+    tick_all: bool,
+    /// Vault ticks run / skipped (stalled or not yet due). Host-only
+    /// work counters: never serialized, never part of the results.
+    vault_ticks: VaultTickStat,
     /// Requests accepted by the host controller, waiting for a link.
     host_queue: VecDeque<MemRequest>,
     /// Request packets in flight: (arrival at vault, seq, packet).
@@ -74,6 +96,7 @@ impl HmcDevice {
         let vaults = (0..cfg.hmc.vaults)
             .map(|v| VaultController::new(v as u16, cfg, scheme))
             .collect::<Result<Vec<_>, _>>()?;
+        let wakes = vec![0; vaults.len()];
         Ok(Self {
             mapping,
             block_bytes: cfg.hmc.block_bytes,
@@ -83,6 +106,9 @@ impl HmcDevice {
             req_xbar: Crossbar::new(cfg.hmc.vaults, cfg.link.xbar_cycles),
             resp_xbar: Crossbar::new(cfg.link.links, cfg.link.xbar_cycles),
             vaults,
+            wakes,
+            tick_all: Engine::default() == Engine::Polling,
+            vault_ticks: VaultTickStat::default(),
             host_queue: VecDeque::new(),
             inflight_req: BinaryHeap::new(),
             vault_retry: (0..cfg.hmc.vaults).map(|_| VecDeque::new()).collect(),
@@ -111,6 +137,21 @@ impl HmcDevice {
             v.set_obs(obs.clone());
         }
         self.obs = obs;
+    }
+
+    /// Selects how vaults are ticked: the event engine ticks only the
+    /// vaults the calendar says are due, the polling engine every vault.
+    /// Re-arms every vault, since polling leaves the calendar unmaintained.
+    pub(crate) fn set_engine(&mut self, engine: Engine) {
+        self.tick_all = engine == Engine::Polling;
+        self.wakes.fill(0);
+    }
+
+    /// Vault ticks run and skipped since the cube was built (host-only
+    /// work counters; `run + skipped` is vaults × cube ticks).
+    #[must_use]
+    pub(crate) fn vault_ticks(&self) -> VaultTickStat {
+        self.vault_ticks
     }
 
     /// Offers a demand request to the host-side controller. `false` means
@@ -212,6 +253,7 @@ impl HmcDevice {
             let pt = prof.stamp();
             let accepted = self.vaults[v].try_enqueue(req, d, now);
             let _ = prof.lap(Comp::PfLookup, pt);
+            self.wakes[v] = now;
             if !accepted {
                 self.vault_retry[v].push_back(req);
             }
@@ -225,6 +267,7 @@ impl HmcDevice {
                 let pt = prof.stamp();
                 let accepted = self.vaults[v].try_enqueue(req, d, now);
                 let _ = prof.lap(Comp::PfLookup, pt);
+                self.wakes[v] = now;
                 if accepted {
                     self.vault_retry[v].pop_front();
                 } else {
@@ -243,9 +286,24 @@ impl HmcDevice {
                     self.obs.mark("fault_vault_stall", now);
                     self.stall_marked = true;
                 }
+                self.vault_ticks.skipped += 1;
                 continue; // injected fault: the vault makes no progress
             }
+            if !self.tick_all && self.wakes[idx] > now {
+                // Not due. A fresh wake at or before `now` means some
+                // input path changed the vault without re-arming it.
+                debug_assert!(
+                    v.next_event(now.saturating_sub(1)).is_none_or(|w| w > now),
+                    "vault {idx} skipped at {now} but due by its own wake"
+                );
+                self.vault_ticks.skipped += 1;
+                continue;
+            }
             v.tick(now, &mut self.vault_out, prof);
+            self.vault_ticks.run += 1;
+            if !self.tick_all {
+                self.wakes[idx] = v.next_event(now).unwrap_or(ASLEEP);
+            }
         }
         for resp in &self.vault_out {
             self.obs
@@ -320,6 +378,8 @@ impl HmcDevice {
     /// Finalizes every vault and returns the merged statistics, including
     /// link FLIT counts folded into the energy model.
     pub fn finalize(&mut self, now: Cycle) -> VaultStats {
+        // Finalizing drains prefetch buffers: re-arm in case ticks follow.
+        self.wakes.fill(0);
         let mut merged = VaultStats::new();
         for v in &mut self.vaults {
             v.finalize(now);
@@ -359,6 +419,7 @@ impl HmcDevice {
     /// this to quarantine a misbehaving plan after a rollback).
     pub fn set_faults(&mut self, faults: FaultPlan) {
         self.faults = faults;
+        self.wakes.fill(0);
     }
 
     /// Occupancy snapshots of every vault, with the host-side retry-queue
@@ -384,7 +445,9 @@ impl Wake for HmcDevice {
     /// launch this instant (host queue with link tokens free, response
     /// queue with response tokens free, or any non-empty vault retry queue
     /// — retries probe the prefetch buffer and count lookups, so they must
-    /// run every cycle), and the earliest wake of every vault. Token-blocked
+    /// run every cycle), and the earliest entry of the vault calendar
+    /// (a stalled vault's stale entry clamps to `now + 1`, as its live
+    /// wake would once it has pending work). Token-blocked
     /// queue heads need no wake of their own: the tokens they wait for are
     /// always represented by a pending `token_returns` entry.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
@@ -416,12 +479,8 @@ impl Wake for HmcDevice {
         if let Some(Reverse((at, _, _))) = self.inflight_resp.peek() {
             fold_wake(&mut wake, now, Some(*at));
         }
-        for v in &self.vaults {
-            fold_wake(&mut wake, now, v.next_event(now));
-            if wake == Some(next) {
-                break;
-            }
-        }
+        let earliest = self.wakes.iter().copied().min().unwrap_or(ASLEEP);
+        fold_wake(&mut wake, now, (earliest != ASLEEP).then_some(earliest));
         wake
     }
 }
@@ -490,6 +549,7 @@ impl Snapshot for HmcDevice {
         for (vault, vs) in self.vaults.iter_mut().zip(vault_states) {
             vault.restore_state(vs)?;
         }
+        self.wakes.fill(0);
         self.req_links = decode(state, "req_links")?;
         self.resp_links = decode(state, "resp_links")?;
         self.req_xbar = decode(state, "req_xbar")?;
@@ -627,6 +687,63 @@ mod tests {
         assert_eq!(stats.row_misses.get(), 1);
         // 1 request FLIT + 5 response FLITs.
         assert_eq!(stats.energy.link_flits, 6);
+    }
+
+    #[test]
+    fn calendar_serves_a_sleeping_vault_exactly_like_ticking_every_vault() {
+        let mut c = cfg();
+        // A shallow read queue sends most of the burst through the
+        // cube's retry path, the other way input reaches a vault.
+        c.vault.read_queue = 4;
+        let mut cal = HmcDevice::new(&c, SchemeKind::CampsMod).unwrap();
+        let mut all = HmcDevice::new(&c, SchemeKind::CampsMod).unwrap();
+        all.set_engine(Engine::Polling);
+        let (mut out_cal, mut out_all) = (Vec::new(), Vec::new());
+        let mut now = 0;
+        let mut tick = |cal: &mut HmcDevice, all: &mut HmcDevice, now: Cycle| {
+            cal.tick(now, &mut out_cal, &mut Profiler::off());
+            all.tick(now, &mut out_all, &mut Profiler::off());
+        };
+        while now < 100 {
+            now += 1;
+            tick(&mut cal, &mut all, now);
+        }
+        // Idle since cycle 1: vault 0 sleeps until its refresh deadline.
+        assert!(cal.wakes[0] > now + 1_000, "wake {}", cal.wakes[0]);
+        // Vault 0, bank 0: three rows (1 << 19 apart) revisited column by
+        // column, so row conflicts, hot-row prefetches and buffer hits
+        // all occur; every fifth request is a write. Plus one read on
+        // vault 1.
+        let mut reqs: Vec<MemRequest> = (0..30u64)
+            .map(|i| {
+                let mut req = read(i, (i % 3) * (1 << 19) + (i / 3) * 64, now);
+                if i % 5 == 4 {
+                    req.kind = AccessKind::Write;
+                }
+                req
+            })
+            .collect();
+        reqs.push(read(99, 1024, now));
+        for req in reqs {
+            assert!(cal.submit(req) && all.submit(req));
+        }
+        while (cal.busy() || all.busy()) && now < 100_000 {
+            now += 1;
+            tick(&mut cal, &mut all, now);
+        }
+        assert_eq!(out_cal.len(), 31);
+        assert_eq!(out_cal, out_all, "responses or their cycles diverged");
+        let VaultTickStat { run, skipped } = cal.vault_ticks();
+        assert_eq!(all.vault_ticks().run, run + skipped);
+        assert_eq!(all.vault_ticks().skipped, 0);
+        assert!(skipped > run, "idle vaults must be skipped: {run} run");
+        let (sc, sa) = (cal.finalize(now), all.finalize(now));
+        assert!(
+            sc.queue_rejects.get() > 0,
+            "the retry path must be exercised"
+        );
+        assert!(sc.buffer_hits.get() > 0, "buffer hits must be exercised");
+        assert_eq!(format!("{sc:?}"), format!("{sa:?}"));
     }
 
     #[test]

@@ -637,12 +637,14 @@ impl Snapshot for RunState {
 
 /// Stepping strategy of the run loop.
 ///
-/// Both engines execute the exact same per-cycle tick body and produce
-/// bit-identical results; they differ only in which cycles they visit.
-/// The polling engine visits every cycle. The event engine asks each
-/// component for its next wake time ([`camps_types::wake::Wake`]) and
-/// jumps straight there, charging the skipped cycles to the cores' idle
-/// accounting in bulk ([`Core::skip_idle`]).
+/// Both engines execute the same per-cycle tick body and produce
+/// bit-identical results; they differ only in which cycles they visit
+/// and which vaults they tick there. The polling engine visits every
+/// cycle and ticks every vault. The event engine asks each component for
+/// its next wake time ([`camps_types::wake::Wake`]) and jumps straight
+/// there, charging the skipped cycles to the cores' idle accounting in
+/// bulk ([`Core::skip_idle`]); within a cycle each cube ticks only the
+/// vaults its wake calendar says are due.
 ///
 /// The engine is a property of the *driver*, not the machine: it is not
 /// part of [`SystemConfig`], does not enter the snapshot config hash,
@@ -680,12 +682,6 @@ pub struct System {
     engine: Engine,
     /// Scratch for completed-load wakeups, reused across `run_step`s.
     woken_scratch: Vec<(CoreId, u64)>,
-    /// Event-engine scan backoff: cycles left before the next wake scan.
-    /// When a scan finds nothing skippable, rescanning every cycle only
-    /// burns time on dense mixes — ticking without scanning is always
-    /// correct (it *is* the polling engine), so we pause the scan for a
-    /// few cycles. Never serialized (engine-local pacing state).
-    scan_backoff: u64,
     /// Observability hooks; never serialized (see [`MemorySubsystem`]).
     obs: TraceHandle,
     /// Host-side self-profiler. A sibling of `cores`/`mem` so the tick
@@ -739,7 +735,6 @@ impl System {
             now: 0,
             engine: Engine::default(),
             woken_scratch: Vec::new(),
-            scan_backoff: 0,
             obs: TraceHandle::disabled(),
             prof: Profiler::off(),
             metrics_every: None,
@@ -752,6 +747,7 @@ impl System {
     /// Selects the stepping strategy for subsequent run loops.
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
+        self.mem.topology_mut().set_engine(engine);
     }
 
     /// The stepping strategy in force.
@@ -915,15 +911,13 @@ impl System {
         if !(state.done_at.iter().any(Option::is_none) && self.now < state.deadline) {
             return Ok(false);
         }
-        if self.engine == Engine::Event && self.scan_backoff > 0 {
-            self.scan_backoff -= 1;
-            self.prof.note_jump(WakeSource::Backoff, 0);
-        } else if self.engine == Engine::Event {
+        if self.engine == Engine::Event {
             // Jump to the cycle before the earliest pending event, charging
             // the skipped cycles to the cores' idle accounting in bulk. The
             // wake contract is conservative (never late), so the tick below
             // lands on — or before — the first cycle where anything can
-            // happen, and the tick body is the same as the polling engine's.
+            // happen, and the tick body is the same as the polling engine's
+            // (each cube skips only vaults whose own wake is still ahead).
             //
             // The dispatch accounting (which source won the fold, how many
             // cycles the jump coalesced) only *observes* the computation —
@@ -980,12 +974,6 @@ impl System {
                     core.skip_idle(skipped);
                 }
                 self.now = target - 1;
-            } else {
-                // Nothing skippable: the machine is dense right now, and
-                // will usually stay dense for a while. Tick scan-free for a
-                // few cycles before probing again.
-                self.scan_backoff = 8;
-                self.prof.note_backoff_engaged();
             }
             self.prof.note_jump(source, skipped);
             self.prof.exit(Comp::WakeScan);
@@ -1004,7 +992,7 @@ impl System {
         stepped
     }
 
-    /// The per-cycle tick body shared verbatim by both engines; split
+    /// The per-cycle tick body shared by both engines; split
     /// from [`Self::run_step`] so the profiler's `run_step` span closes
     /// on every exit path (including typed errors).
     fn step_body(&mut self, state: &mut RunState) -> Result<bool, SimError> {
@@ -1115,7 +1103,11 @@ impl System {
             energy_nj: 0.0, // filled below (needs cfg)
             stage_latency: self.obs.breakdown(),
             amplification,
-            profile: self.prof.summary(),
+            profile: self.prof.summary().map(|mut p| {
+                let cubes = self.mem.topology().all_cubes();
+                p.vault_ticks = cubes.iter().map(HmcDevice::vault_ticks).collect();
+                p
+            }),
         }
         .with_energy(&self.cfg))
     }

@@ -18,6 +18,7 @@
 //! [`MemorySubsystem`]: crate::system::MemorySubsystem
 
 use crate::hmc::HmcDevice;
+use crate::system::Engine;
 use camps_link::cube_link::CubeFabric;
 use camps_link::packet::Packet;
 use camps_obs::{Comp, Profiler, TraceHandle};
@@ -113,6 +114,13 @@ impl Topology {
     #[must_use]
     pub fn all_cubes(&self) -> &[HmcDevice] {
         &self.cubes
+    }
+
+    /// Selects how every cube ticks its vaults ([`HmcDevice::set_engine`]).
+    pub(crate) fn set_engine(&mut self, engine: Engine) {
+        for c in &mut self.cubes {
+            c.set_engine(engine);
+        }
     }
 
     /// Installs observability hooks on every cube (and for hop stamps).

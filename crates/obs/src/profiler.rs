@@ -185,9 +185,34 @@ pub struct ProfileSummary {
     /// Per-wake-source dispatch accounting (event engine only; empty
     /// under the polling engine).
     pub wake_sources: Vec<WakeSourceStat>,
-    /// Times the event engine's scan-backoff engaged (8 forced ticks
-    /// after a tick-dense stretch instead of a full wake scan).
-    pub backoff_engagements: u64,
+    /// Vault ticks run and skipped, one entry per cube. Filled in by the
+    /// run loop from the cubes' host-only work counters; empty when the
+    /// summary comes straight from [`Profiler::summary`].
+    pub vault_ticks: Vec<VaultTickStat>,
+}
+
+/// One cube's vault-tick work counts: exact and machine-independent.
+/// Under the polling engine every vault ticks every cycle; under the
+/// event engine only the vaults the cube's wake calendar says are due.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct VaultTickStat {
+    /// Vault ticks executed.
+    pub run: u64,
+    /// Vault ticks skipped: the vault was not yet due, or is stalled.
+    pub skipped: u64,
+}
+
+impl VaultTickStat {
+    /// Skipped fraction of all vault-tick slots (0.0 when none).
+    #[must_use]
+    pub fn skipped_ratio(&self) -> f64 {
+        let all = self.run + self.skipped;
+        if all == 0 {
+            0.0
+        } else {
+            self.skipped as f64 / all as f64
+        }
+    }
 }
 
 impl ProfileSummary {
@@ -240,10 +265,17 @@ impl ProfileSummary {
                     w.cycles_skipped,
                 ));
             }
-            out.push_str(&format!(
-                "scan-backoff engagements: {}\n",
-                self.backoff_engagements
-            ));
+        }
+        if !self.vault_ticks.is_empty() {
+            out.push_str("\ncube  vault_ticks_run  vault_ticks_skipped  skipped%\n");
+            for (cube, v) in self.vault_ticks.iter().enumerate() {
+                out.push_str(&format!(
+                    "{cube:>4}  {:>15}  {:>19}  {:>7.1}%\n",
+                    v.run,
+                    v.skipped,
+                    v.skipped_ratio() * 100.0
+                ));
+            }
         }
         out
     }
@@ -309,7 +341,6 @@ mod real {
         stack: Vec<Frame>,
         wake: [WakeAcc; WakeSource::COUNT],
         pending: Option<WakeSource>,
-        backoff_engagements: u64,
         spurious_total: u64,
     }
 
@@ -325,7 +356,6 @@ mod real {
                 stack: Vec::new(),
                 wake: [WakeAcc::default(); WakeSource::COUNT],
                 pending: None,
-                backoff_engagements: 0,
                 spurious_total: 0,
             }
         }
@@ -486,15 +516,6 @@ mod real {
             }
         }
 
-        /// Event engine: a scan-backoff window (forced dense ticks)
-        /// engaged.
-        #[inline]
-        pub fn note_backoff_engaged(&mut self) {
-            if self.enabled {
-                self.backoff_engagements += 1;
-            }
-        }
-
         /// Total spurious wakes so far (metrics time-series column).
         #[must_use]
         pub fn spurious_total(&self) -> u64 {
@@ -558,7 +579,7 @@ mod real {
                 total_ns,
                 nodes,
                 wake_sources,
-                backoff_engagements: self.backoff_engagements,
+                vault_ticks: Vec::new(),
             })
         }
     }
@@ -623,10 +644,6 @@ impl Profiler {
     /// No-op.
     #[inline]
     pub fn note_outcome(&mut self, _productive: bool) {}
-
-    /// No-op.
-    #[inline]
-    pub fn note_backoff_engaged(&mut self) {}
 
     /// Always 0.
     #[must_use]
@@ -705,10 +722,8 @@ mod tests {
         p.note_outcome(false);
         p.note_jump(WakeSource::Sampler, 100);
         p.note_outcome(false);
-        p.note_backoff_engaged();
         assert_eq!(p.spurious_total(), 2);
         let s = p.summary().unwrap();
-        assert_eq!(s.backoff_engagements, 1);
         assert_eq!(s.spurious_wakes(), 2);
         let core = s.wake_sources.iter().find(|w| w.source == "core").unwrap();
         assert_eq!((core.wakes, core.productive, core.spurious), (2, 1, 1));
@@ -737,7 +752,7 @@ mod tests {
                 },
             ],
             wake_sources: vec![],
-            backoff_engagements: 0,
+            vault_ticks: vec![VaultTickStat { run: 3, skipped: 1 }],
         };
         assert_eq!(s.render_folded(), "run_loop 10\nrun_loop;mem_tick 20\n");
         let json = serde_json::to_string(&s).unwrap();

@@ -46,14 +46,11 @@ pub enum WakeSource {
     /// No component reported a wake; the engine fell back to the run
     /// deadline (end of the measured window).
     Deadline,
-    /// A scan-backoff tick: the engine skipped the wake fold entirely
-    /// and ticked densely after a tick-dense stretch.
-    Backoff,
 }
 
 impl WakeSource {
     /// Number of variants (sizing accounting arrays).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// Every variant, in `as usize` order.
     pub const ALL: [WakeSource; WakeSource::COUNT] = [
@@ -62,7 +59,6 @@ impl WakeSource {
         WakeSource::Watchdog,
         WakeSource::Sampler,
         WakeSource::Deadline,
-        WakeSource::Backoff,
     ];
 
     /// Stable snake_case label for exports.
@@ -74,7 +70,6 @@ impl WakeSource {
             WakeSource::Watchdog => "watchdog",
             WakeSource::Sampler => "sampler",
             WakeSource::Deadline => "deadline",
-            WakeSource::Backoff => "backoff",
         }
     }
 }

@@ -989,35 +989,43 @@ impl Wake for VaultController {
     /// by open-row demand) contributes a past-due edge that clamps to
     /// `now + 1`, costing a no-op tick, never a missed one.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut wake: Option<Cycle> = None;
-        let mut up = |at: Cycle| fold_wake(&mut wake, now, Some(at));
-
-        if let Some(Reverse((at, _, _))) = self.responses.peek() {
-            up(*at);
-        }
-
-        // Refresh: the deadline while idle; while draining, every bank's
-        // path to `can_refresh` (close open rows, wait out busy arrays).
-        if self.timing.t_refi > 0 {
-            if self.refresh_pending {
-                for (idx, b) in self.banks.iter().enumerate() {
-                    // A fetch in flight owns the open row; its own
-                    // edges below wake us, not the drain.
-                    if b.open_row().is_some() && self.fetch_pending_on(idx) {
-                        continue;
-                    }
-                    up(b.refresh_drain_edge());
-                }
-            } else {
-                up(self.next_refresh);
-            }
-        }
+        // Nothing can beat `now + 1`: return as soon as it is found, so a
+        // due vault never pays for the queue and fetch walks below.
+        let next = now + 1;
 
         // The write-drain hysteresis flips `draining` on the next tick.
         if (!self.draining && self.write_q.len() >= self.drain_high)
             || (self.draining && self.write_q.len() <= self.drain_low)
         {
-            up(now + 1);
+            return Some(next);
+        }
+
+        let mut wake: Option<Cycle> = None;
+        {
+            let mut up = |at: Cycle| fold_wake(&mut wake, now, Some(at));
+            if let Some(Reverse((at, _, _))) = self.responses.peek() {
+                up(*at);
+            }
+            // Refresh: the deadline while idle; while draining, every
+            // bank's path to `can_refresh` (close open rows, wait out busy
+            // arrays).
+            if self.timing.t_refi > 0 {
+                if self.refresh_pending {
+                    for (idx, b) in self.banks.iter().enumerate() {
+                        // A fetch in flight owns the open row; its own
+                        // edges below wake us, not the drain.
+                        if b.open_row().is_some() && self.fetch_pending_on(idx) {
+                            continue;
+                        }
+                        up(b.refresh_drain_edge());
+                    }
+                } else {
+                    up(self.next_refresh);
+                }
+            }
+        }
+        if wake == Some(next) {
+            return wake;
         }
 
         // Queued demand: a buffer-resident row is served next tick; an
@@ -1026,21 +1034,24 @@ impl Wake for VaultController {
         // starvation override.
         for q in self.read_q.iter().chain(self.write_q.iter()) {
             if self.buffer.contains(q.decoded.row_key()) {
-                up(now + 1);
-                continue;
+                return Some(next);
             }
             let bank = &self.banks[q.bank()];
-            match bank.open_row() {
-                Some(r) if r == q.row() => up(self.bus_free.max(bank.rdwr_ready_at())),
-                Some(_) => {
-                    up(bank.precharge_ready_at());
-                    up(q.arrived + STARVATION_LIMIT + 1);
-                }
-                None => up(bank
+            let at = match bank.open_row() {
+                Some(r) if r == q.row() => self.bus_free.max(bank.rdwr_ready_at()),
+                Some(_) => bank
+                    .precharge_ready_at()
+                    .min(q.arrived + STARVATION_LIMIT + 1),
+                None => bank
                     .activate_ready_at()
-                    .max(self.window.earliest_activate())),
+                    .max(self.window.earliest_activate()),
+            };
+            if at <= next {
+                return Some(next);
             }
+            fold_wake(&mut wake, now, Some(at));
         }
+        let mut up = |at: Cycle| fold_wake(&mut wake, now, Some(at));
 
         // Row fetches: completions, background activations (bounded by
         // their expiry), and bus slots for the next chunk.
@@ -1050,8 +1061,7 @@ impl Wake for VaultController {
                 continue;
             }
             if self.buffer.contains(job.key) {
-                up(now + 1); // duplicate: discarded next tick
-                continue;
+                return Some(next); // duplicate: discarded next tick
             }
             let bank = &self.banks[usize::from(job.key.bank)];
             if job.needs_activate && bank.open_row() != Some(job.key.row) {
@@ -1064,8 +1074,7 @@ impl Wake for VaultController {
                 continue;
             }
             if bank.open_row() != Some(job.key.row) {
-                up(now + 1); // row closed under the fetch: dropped next tick
-                continue;
+                return Some(next); // row closed under the fetch: dropped next tick
             }
             up(self.bus_free.max(bank.rdwr_ready_at()));
         }
@@ -1098,7 +1107,7 @@ impl Wake for VaultController {
                 .chain(self.write_q.iter())
                 .any(|q| q.bank() == bank_idx);
             if !demand_pending || self.writeback_q.len() > WRITEBACK_PRESSURE {
-                up(now + 1);
+                return Some(next);
             }
             // Else: yielding to demand; the demand candidates above cover
             // the tick on which the yield condition can change.
