@@ -11,9 +11,10 @@
 //! * the top components by exclusive time, and
 //! * under the event engine, per-wake-source dispatch accounting
 //!   (wakes, spurious ratio, cycles coalesced), and
-//! * per cube, the vault ticks run and skipped (exact work counts: the
-//!   polling engine ticks every vault, the event engine's wake calendar
-//!   only the due ones).
+//! * per cube, the vault ticks run and skipped, and per core, the core
+//!   ticks run and skipped (exact work counts: the polling engine ticks
+//!   every vault and core, the event engine's wake calendars only the
+//!   due ones).
 //!
 //! The numbers land in `BENCH_profile.json`.
 //!
@@ -30,7 +31,7 @@
 use camps::system::Engine;
 use camps::System;
 use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
-use camps_obs::{ObsConfig, ProfileSummary};
+use camps_obs::{ObsConfig, ProfileSummary, TickStat};
 use camps_prefetch::SchemeKind;
 use camps_types::addr::PhysAddr;
 use camps_types::config::SystemConfig;
@@ -178,23 +179,30 @@ fn render(cells: &[Cell]) -> String {
             }
             out.push(']');
         }
-        out.push_str(",\n     \"vault_ticks\": [");
-        for (j, v) in c.summary.vault_ticks.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"cube\": {j}, \"run\": {}, \"skipped\": {}, \"skipped_ratio\": {:.3}}}",
-                v.run,
-                v.skipped,
-                v.skipped_ratio()
-            ));
-        }
-        out.push(']');
+        push_ticks(&mut out, "vault_ticks", "cube", &c.summary.vault_ticks);
+        push_ticks(&mut out, "core_ticks", "core", &c.summary.core_ticks);
         out.push('}');
     }
     out.push_str("\n  ]\n}\n");
     out
+}
+
+/// Appends `"<field>": [...]` to a cell: one `run`/`skipped` object per
+/// cube or core, keyed by its index under `unit`.
+fn push_ticks(out: &mut String, field: &str, unit: &str, ticks: &[TickStat]) {
+    out.push_str(&format!(",\n     \"{field}\": ["));
+    for (j, t) in ticks.iter().enumerate() {
+        if j > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&format!(
+            "{{\"{unit}\": {j}, \"run\": {}, \"skipped\": {}, \"skipped_ratio\": {:.3}}}",
+            t.run,
+            t.skipped,
+            t.skipped_ratio()
+        ));
+    }
+    out.push(']');
 }
 
 /// Pulls `"profile_ceiling": <secs>` out of the baseline file (textual;

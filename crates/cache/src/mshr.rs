@@ -5,10 +5,10 @@
 //! flight, so one memory request serves every waiter.
 
 use camps_types::addr::PhysAddr;
+use camps_types::hash::IntMap;
 use camps_types::snapshot::{decode, Snapshot};
 use serde::value::Value;
 use serde::{de, Serialize as _};
-use std::collections::HashMap;
 
 /// Result of trying to allocate an MSHR for a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub enum MshrAlloc {
 /// (the system simulator uses ROB slot identifiers).
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    entries: HashMap<u64, Vec<u64>>,
+    entries: IntMap<u64, Vec<u64>>,
     capacity: usize,
     line_mask: u64,
     peak: usize,
@@ -46,7 +46,7 @@ impl MshrFile {
             "line size must be a power of two"
         );
         Self {
-            entries: HashMap::with_capacity(capacity as usize),
+            entries: IntMap::with_capacity_and_hasher(capacity as usize, Default::default()),
             capacity: capacity as usize,
             line_mask: !(u64::from(line_bytes) - 1),
             peak: 0,

@@ -20,21 +20,21 @@
 
 use camps_stats::AuditLedger;
 use camps_types::error::IntegrityError;
+use camps_types::hash::{IntMap, IntSet};
 use camps_types::request::RequestId;
 use camps_types::snapshot::{decode, Snapshot};
 use serde::value::Value;
 use serde::{de, Serialize as _};
-use std::collections::{HashMap, HashSet};
 
 /// Request-conservation checker (see the module docs).
 #[derive(Debug)]
 pub struct RequestAuditor {
     enabled: bool,
     /// Vault each outstanding request id was routed to.
-    outstanding: HashMap<u64, usize>,
+    outstanding: IntMap<u64, usize>,
     /// Ids that have completed (detects double completion after the
     /// outstanding entry is gone).
-    completed: HashSet<u64>,
+    completed: IntSet<u64>,
     ledger: AuditLedger,
     violation: Option<IntegrityError>,
 }
@@ -46,8 +46,8 @@ impl RequestAuditor {
     pub fn new(enabled: bool, vaults: usize) -> Self {
         Self {
             enabled: enabled || cfg!(debug_assertions),
-            outstanding: HashMap::new(),
-            completed: HashSet::new(),
+            outstanding: IntMap::default(),
+            completed: IntSet::default(),
             ledger: AuditLedger::new(vaults),
             violation: None,
         }

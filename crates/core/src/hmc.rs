@@ -18,7 +18,7 @@ use crate::system::Engine;
 use camps_link::packet::Packet;
 use camps_link::serdes::LinkSet;
 use camps_link::Crossbar;
-use camps_obs::{Comp, Point, Profiler, TraceHandle, VaultTickStat};
+use camps_obs::{Comp, Point, Profiler, TickStat, TraceHandle};
 use camps_prefetch::SchemeKind;
 use camps_types::addr::AddressMapping;
 use camps_types::clock::Cycle;
@@ -36,8 +36,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Maximum host-controller queue depth (requests waiting for link tokens).
 const HOST_QUEUE_DEPTH: usize = 64;
 
-/// Calendar entry of a vault that sleeps until input arrives.
-const ASLEEP: Cycle = Cycle::MAX;
+/// Calendar entry of a vault (or core) that sleeps until input arrives.
+pub(crate) const ASLEEP: Cycle = Cycle::MAX;
 
 /// The cube.
 pub struct HmcDevice {
@@ -57,7 +57,7 @@ pub struct HmcDevice {
     tick_all: bool,
     /// Vault ticks run / skipped (stalled or not yet due). Host-only
     /// work counters: never serialized, never part of the results.
-    vault_ticks: VaultTickStat,
+    vault_ticks: TickStat,
     /// Requests accepted by the host controller, waiting for a link.
     host_queue: VecDeque<MemRequest>,
     /// Request packets in flight: (arrival at vault, seq, packet).
@@ -108,7 +108,7 @@ impl HmcDevice {
             vaults,
             wakes,
             tick_all: Engine::default() == Engine::Polling,
-            vault_ticks: VaultTickStat::default(),
+            vault_ticks: TickStat::default(),
             host_queue: VecDeque::new(),
             inflight_req: BinaryHeap::new(),
             vault_retry: (0..cfg.hmc.vaults).map(|_| VecDeque::new()).collect(),
@@ -150,7 +150,7 @@ impl HmcDevice {
     /// Vault ticks run and skipped since the cube was built (host-only
     /// work counters; `run + skipped` is vaults × cube ticks).
     #[must_use]
-    pub(crate) fn vault_ticks(&self) -> VaultTickStat {
+    pub(crate) fn vault_ticks(&self) -> TickStat {
         self.vault_ticks
     }
 
@@ -733,7 +733,7 @@ mod tests {
         }
         assert_eq!(out_cal.len(), 31);
         assert_eq!(out_cal, out_all, "responses or their cycles diverged");
-        let VaultTickStat { run, skipped } = cal.vault_ticks();
+        let TickStat { run, skipped } = cal.vault_ticks();
         assert_eq!(all.vault_ticks().run, run + skipped);
         assert_eq!(all.vault_ticks().skipped, 0);
         assert!(skipped > run, "idle vaults must be skipped: {run} run");

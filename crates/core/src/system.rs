@@ -1,7 +1,7 @@
 //! The complete simulated machine: cores, cache hierarchy, and cube.
 
 use crate::audit::RequestAuditor;
-use crate::hmc::HmcDevice;
+use crate::hmc::{HmcDevice, ASLEEP};
 use crate::metrics::RunResult;
 use crate::topology::Topology;
 use camps_cache::hierarchy::{CacheHierarchy, HierarchyOutcome};
@@ -9,7 +9,8 @@ use camps_cache::mshr::MshrFile;
 use camps_cpu::core_model::{Core, MemoryPort, PortResult};
 use camps_cpu::trace::TraceSource;
 use camps_obs::{
-    Comp, MetricsSample, ObsConfig, Profiler, ReqClass, TraceHandle, METRICS_SCHEMA_VERSION,
+    Comp, MetricsSample, ObsConfig, Profiler, ReqClass, TickStat, TraceHandle,
+    METRICS_SCHEMA_VERSION,
 };
 use camps_prefetch::SchemeKind;
 use camps_stats::{AuditLedger, Running};
@@ -17,12 +18,13 @@ use camps_types::addr::PhysAddr;
 use camps_types::clock::Cycle;
 use camps_types::config::{FaultPlan, SystemConfig};
 use camps_types::error::{IntegrityError, SimError, WatchdogReport};
+use camps_types::hash::{IntMap, IntSet};
 use camps_types::request::{AccessKind, CoreId, MemRequest, RequestId};
 use camps_types::snapshot::{decode, field, Snapshot};
 use camps_types::wake::{fold_wake, Wake, WakeSource};
 use serde::value::Value;
 use serde::{de, Serialize as _};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Sentinel MSHR waiter token for store fills (no core to wake).
 const STORE_WAITER: u64 = u64::MAX;
@@ -40,14 +42,14 @@ pub struct MemorySubsystem {
     mshrs: MshrFile,
     topo: Topology,
     /// Write-allocate fills that must land dirty.
-    dirty_fills: HashSet<u64>,
+    dirty_fills: IntSet<u64>,
     /// Per-waiter issue cycles for latency accounting.
-    issue_cycle: HashMap<u64, Cycle>,
+    issue_cycle: IntMap<u64, Cycle>,
     /// First *attempt* cycle of loads that were rejected (MSHR/host-queue
     /// backpressure), keyed by (core, block). AMAT must include the time
     /// a miss spends unable to even enter the memory system — that is
     /// where an oversubscribed scheme's pain shows up.
-    first_attempt: HashMap<(u8, u64), Cycle>,
+    first_attempt: IntMap<(u8, u64), Cycle>,
     /// L3 dirty victims waiting to enter the cube.
     writeback_q: VecDeque<PhysAddr>,
     /// Scratch reused across calls.
@@ -90,9 +92,9 @@ impl MemorySubsystem {
             hierarchy: CacheHierarchy::new(cfg),
             mshrs: MshrFile::new(cfg.l3.mshrs, cfg.l3.line_bytes),
             topo: Topology::new(cfg, scheme)?,
-            dirty_fills: HashSet::new(),
-            issue_cycle: HashMap::new(),
-            first_attempt: HashMap::new(),
+            dirty_fills: IntSet::default(),
+            issue_cycle: IntMap::default(),
+            first_attempt: IntMap::default(),
             writeback_q: VecDeque::new(),
             wb_scratch: Vec::new(),
             resp_scratch: Vec::new(),
@@ -639,12 +641,13 @@ impl Snapshot for RunState {
 ///
 /// Both engines execute the same per-cycle tick body and produce
 /// bit-identical results; they differ only in which cycles they visit
-/// and which vaults they tick there. The polling engine visits every
-/// cycle and ticks every vault. The event engine asks each component for
-/// its next wake time ([`camps_types::wake::Wake`]) and jumps straight
-/// there, charging the skipped cycles to the cores' idle accounting in
-/// bulk ([`Core::skip_idle`]); within a cycle each cube ticks only the
-/// vaults its wake calendar says are due.
+/// and which cores and vaults they tick there. The polling engine visits
+/// every cycle and ticks every core and vault. The event engine asks each
+/// component for its next wake time ([`camps_types::wake::Wake`]) and
+/// jumps straight there, charging the skipped cycles to the cores' idle
+/// accounting in bulk ([`Core::skip_idle`]); within a cycle it ticks only
+/// the cores, and each cube only the vaults, that their wake calendars
+/// say are due.
 ///
 /// The engine is a property of the *driver*, not the machine: it is not
 /// part of [`SystemConfig`], does not enter the snapshot config hash,
@@ -680,6 +683,14 @@ pub struct System {
     now: Cycle,
     /// Stepping strategy; never serialized (snapshots are engine-neutral).
     engine: Engine,
+    /// The core calendar: each core's cached wake cycle ([`ASLEEP`] while
+    /// it waits on a memory response). Under the event engine a core
+    /// ticks at `now` iff its entry is `<= now`. Runtime-only; re-armed
+    /// on every load completion, on restore and on an engine switch.
+    core_wakes: Vec<Cycle>,
+    /// Core ticks run / skipped, per core. Host-only work counters:
+    /// never serialized, never part of the results.
+    core_ticks: Vec<TickStat>,
     /// Scratch for completed-load wakeups, reused across `run_step`s.
     woken_scratch: Vec<(CoreId, u64)>,
     /// Observability hooks; never serialized (see [`MemorySubsystem`]).
@@ -722,13 +733,15 @@ impl System {
                 ),
             });
         }
-        let cores = traces
+        let cores: Vec<Core> = traces
             .into_iter()
             .enumerate()
             .map(|(i, t)| Core::new(CoreId(i as u8), &cfg.cpu, t))
             .collect();
         Ok(Self {
             cfg: cfg.clone(),
+            core_wakes: vec![0; cores.len()],
+            core_ticks: vec![TickStat::default(); cores.len()],
             cores,
             mem: MemorySubsystem::new(cfg, scheme)?,
             scheme,
@@ -748,6 +761,15 @@ impl System {
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
         self.mem.topology_mut().set_engine(engine);
+        self.rearm_cores();
+    }
+
+    /// Recomputes every core's calendar entry (polling and restore leave
+    /// the calendar stale).
+    fn rearm_cores(&mut self) {
+        for (wake, core) in self.core_wakes.iter_mut().zip(&self.cores) {
+            *wake = core.next_event(self.now).unwrap_or(ASLEEP);
+        }
     }
 
     /// The stepping strategy in force.
@@ -927,9 +949,9 @@ impl System {
             let next = self.now + 1;
             let mut wake: Option<Cycle> = None;
             let mut source = WakeSource::Deadline;
-            for core in &self.cores {
+            for &at in &self.core_wakes {
                 let before = wake;
-                fold_wake(&mut wake, self.now, core.next_event(self.now));
+                fold_wake(&mut wake, self.now, (at != ASLEEP).then_some(at));
                 if wake != before {
                     source = WakeSource::Core;
                 }
@@ -998,9 +1020,27 @@ impl System {
     fn step_body(&mut self, state: &mut RunState) -> Result<bool, SimError> {
         self.now += 1;
         self.wake_ticks += 1;
+        let event = self.engine == Engine::Event;
         self.prof.enter(Comp::CoreRetire);
         for (i, core) in self.cores.iter_mut().enumerate() {
-            core.tick(self.now, &mut self.mem, &mut self.prof);
+            if event && self.core_wakes[i] > self.now {
+                // Not due: the tick would only account an idle cycle. A
+                // fresh wake at or before `now` means something changed
+                // the core without re-arming it.
+                debug_assert!(
+                    core.next_event(self.now - 1).is_none_or(|w| w > self.now),
+                    "core {i} skipped at {} but due by its own wake",
+                    self.now
+                );
+                core.skip_idle(1);
+                self.core_ticks[i].skipped += 1;
+            } else {
+                core.tick(self.now, &mut self.mem, &mut self.prof);
+                self.core_ticks[i].run += 1;
+                if event {
+                    self.core_wakes[i] = core.next_event(self.now).unwrap_or(ASLEEP);
+                }
+            }
             if state.done_at[i].is_none() && core.stats().retired.get() >= state.instructions {
                 state.done_at[i] = Some(self.now - state.start);
             }
@@ -1015,13 +1055,15 @@ impl System {
             let (core, slot) = self.woken_scratch[i];
             // MSHR waiter tokens come back from the memory side; a corrupt
             // token must surface as a typed error, not an index panic.
-            let Some(c) = self.cores.get_mut(usize::from(core.0)) else {
+            let idx = usize::from(core.0);
+            let Some(c) = self.cores.get_mut(idx) else {
                 return Err(SimError::Integrity(IntegrityError::CorruptCoreId {
                     core: core.0,
                     cores: self.cores.len(),
                 }));
             };
             c.complete_load(slot);
+            self.core_wakes[idx] = c.next_event(self.now).unwrap_or(ASLEEP);
         }
         if let Some(violation) = self.mem.take_violation() {
             return Err(SimError::Integrity(violation));
@@ -1106,6 +1148,7 @@ impl System {
             profile: self.prof.summary().map(|mut p| {
                 let cubes = self.mem.topology().all_cubes();
                 p.vault_ticks = cubes.iter().map(HmcDevice::vault_ticks).collect();
+                p.core_ticks.clone_from(&self.core_ticks);
                 p
             }),
         }
@@ -1246,6 +1289,7 @@ impl Snapshot for System {
         }
         self.mem.restore_state(field(state, "mem")?)?;
         self.now = decode(state, "now")?;
+        self.rearm_cores();
         Ok(())
     }
 }
@@ -1340,6 +1384,47 @@ mod tests {
             assert_eq!(ra.cycles, rb.cycles, "{scheme:?}");
             assert_eq!(ra.vaults, rb.vaults, "{scheme:?}");
             assert_eq!(ra.amat_mem, rb.amat_mem, "{scheme:?}");
+        }
+    }
+
+    #[test]
+    fn snapshot_with_sleeping_cores_finishes_identically_under_both_engines() {
+        let cfg = SystemConfig::paper_default();
+        let capacity = cfg.cube_map().unwrap().capacity_bytes();
+        let mix = camps_workloads::Mix::by_id("HM1").unwrap();
+        let build = |engine| {
+            let traces = mix.build_traces(capacity, 5).unwrap();
+            let mut sys = System::new(&cfg, SchemeKind::CampsMod, traces).unwrap();
+            sys.set_engine(engine);
+            sys.warmup(2_000);
+            let st = sys.run_begin(4_000, 2_000_000);
+            (sys, st)
+        };
+        let finish = |sys: &mut System, st: &mut RunState| {
+            while sys.run_step(st).unwrap() {}
+            serde_json::to_string(&sys.run_finish(st, "sleep").unwrap()).unwrap()
+        };
+        let (mut a, mut st_a) = build(Engine::Event);
+        // Step until cores sleep on pending loads: only a completion can
+        // wake them, so the snapshot must bring their calendar back.
+        while a.core_wakes.iter().filter(|&&w| w == ASLEEP).count() < 2 {
+            assert!(a.run_step(&mut st_a).unwrap(), "no two cores ever slept");
+        }
+        let (sys_state, run_state) = (a.save_state(), st_a.save_state());
+        let reference = finish(&mut a, &mut st_a);
+        for c in &a.core_ticks {
+            assert_eq!(c.run + c.skipped, a.wake_ticks);
+        }
+        assert!(a.core_ticks.iter().any(|c| c.skipped > 0), "no core slept");
+        for engine in [Engine::Event, Engine::Polling] {
+            let (mut b, mut st_b) = build(engine);
+            b.restore_state(&sys_state).unwrap();
+            st_b.restore_state(&run_state).unwrap();
+            assert_eq!(
+                finish(&mut b, &mut st_b),
+                reference,
+                "restored under {engine:?}"
+            );
         }
     }
 
@@ -1463,7 +1548,9 @@ mod integrity_tests {
 
     #[test]
     fn clean_run_keeps_the_ledger_balanced() {
-        let cfg = SystemConfig::small();
+        let mut cfg = SystemConfig::small();
+        // Release builds audit only when asked.
+        cfg.integrity.audit = true;
         let mut sys = System::new(&cfg, SchemeKind::Camps, traces(&cfg)).unwrap();
         sys.run(10_000, 1_000_000, "clean").unwrap();
         let ledger = sys.memory().audit_ledger();

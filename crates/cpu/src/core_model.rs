@@ -6,12 +6,13 @@ use camps_stats::Counter;
 use camps_types::addr::PhysAddr;
 use camps_types::clock::Cycle;
 use camps_types::config::CpuConfig;
+use camps_types::hash::IntSet;
 use camps_types::request::{AccessKind, CoreId};
 use camps_types::snapshot::{decode, field, Snapshot};
 use camps_types::wake::Wake;
 use serde::value::Value;
 use serde::{de, Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// What the memory port says about an attempted load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,11 +139,15 @@ pub struct Core {
     pending_mem: Option<(PhysAddr, AccessKind)>,
     trace: Box<dyn TraceSource>,
     next_slot: u64,
-    completed: HashSet<u64>,
-    /// Count of `Stalled*` ROB entries, kept so [`Wake::next_event`] is
-    /// O(1) instead of scanning the ROB. Derived from `rob` — not
-    /// serialized; recomputed on restore.
-    stalled_entries: usize,
+    completed: IntSet<u64>,
+    /// Sequence numbers of the `Stalled*` ROB entries, oldest first, so
+    /// the per-cycle retry and [`Wake::next_event`] touch only stalled
+    /// entries. Entry `seq` sits at ROB index `seq - popped`; retirement
+    /// never pops a stalled entry, so the list stays valid. Derived from
+    /// `rob`: not serialized, rebuilt on restore.
+    stalled: VecDeque<u64>,
+    /// ROB entries retired so far (the sequence number of the ROB head).
+    popped: u64,
     stats: CoreStats,
 }
 
@@ -162,8 +167,9 @@ impl Core {
             pending_mem: None,
             trace,
             next_slot: 0,
-            completed: HashSet::new(),
-            stalled_entries: 0,
+            completed: IntSet::default(),
+            stalled: VecDeque::new(),
+            popped: 0,
             stats: CoreStats::default(),
         }
     }
@@ -246,19 +252,17 @@ impl Core {
 
     /// Oldest-first: try to un-stall entries that were rejected earlier.
     fn retry_stalled(&mut self, now: Cycle, port: &mut impl MemoryPort, prof: &mut Profiler) {
-        for i in 0..self.rob.len() {
-            let entry = self.rob[i];
-            match entry {
+        while let Some(&seq) = self.stalled.front() {
+            let i = (seq - self.popped) as usize;
+            match self.rob[i] {
                 RobEntry::StalledLoad(addr) => {
                     match port.load(now, self.id, self.next_slot, addr, prof) {
                         PortResult::Hit { latency } => {
                             self.rob[i] = RobEntry::HitLoad(now + latency);
-                            self.stalled_entries -= 1;
                             self.stats.loads.inc();
                         }
                         PortResult::Accepted => {
                             self.rob[i] = RobEntry::PendingLoad(self.next_slot);
-                            self.stalled_entries -= 1;
                             self.next_slot += 1;
                             self.stats.loads.inc();
                         }
@@ -272,14 +276,27 @@ impl Core {
                     if self.store_buffer.len() < self.store_cap {
                         self.store_buffer.push_back(addr);
                         self.rob[i] = RobEntry::Ready(now);
-                        self.stalled_entries -= 1;
                     } else {
                         return;
                     }
                 }
-                _ => {}
+                other => unreachable!("stalled list points at {other:?}"),
             }
+            self.stalled.pop_front();
         }
+    }
+
+    /// Queues a stalled entry at the ROB tail.
+    fn push_stalled(&mut self, entry: RobEntry) {
+        self.stalled.push_back(self.popped + self.rob.len() as u64);
+        self.rob.push_back(entry);
+    }
+
+    /// Retires the ROB head.
+    fn pop_head(&mut self) {
+        self.rob.pop_front();
+        self.popped += 1;
+        self.stats.retired.inc();
     }
 
     fn drain_store_buffer(&mut self, now: Cycle, port: &mut impl MemoryPort, prof: &mut Profiler) {
@@ -298,22 +315,14 @@ impl Core {
         }
         for _ in 0..self.retire_w {
             match self.rob.front() {
-                Some(RobEntry::Ready(at)) if *at <= now => {
-                    self.rob.pop_front();
-                    self.stats.retired.inc();
-                }
-                Some(RobEntry::HitLoad(at)) if *at <= now => {
-                    self.rob.pop_front();
-                    self.stats.retired.inc();
-                }
+                Some(RobEntry::Ready(at) | RobEntry::HitLoad(at)) if *at <= now => self.pop_head(),
                 Some(RobEntry::HitLoad(_)) => {
                     self.stats.load_stall_cycles.inc();
                     break;
                 }
                 Some(RobEntry::PendingLoad(slot)) => {
                     if self.completed.remove(slot) {
-                        self.rob.pop_front();
-                        self.stats.retired.inc();
+                        self.pop_head();
                     } else {
                         self.stats.load_stall_cycles.inc();
                         break;
@@ -362,8 +371,7 @@ impl Core {
                         self.stats.loads.inc();
                     }
                     PortResult::Rejected => {
-                        self.rob.push_back(RobEntry::StalledLoad(addr));
-                        self.stalled_entries += 1;
+                        self.push_stalled(RobEntry::StalledLoad(addr));
                         self.stats.rejections.inc();
                         return;
                     }
@@ -373,8 +381,7 @@ impl Core {
                         self.store_buffer.push_back(addr);
                         self.rob.push_back(RobEntry::Ready(now + 1));
                     } else {
-                        self.rob.push_back(RobEntry::StalledStore(addr));
-                        self.stalled_entries += 1;
+                        self.push_stalled(RobEntry::StalledStore(addr));
                         return;
                     }
                 }
@@ -395,15 +402,7 @@ impl Wake for Core {
         if !self.store_buffer.is_empty() || self.rob.len() < self.rob_cap {
             return Some(now + 1);
         }
-        debug_assert_eq!(
-            self.stalled_entries,
-            self.rob
-                .iter()
-                .filter(|e| matches!(e, RobEntry::StalledLoad(_) | RobEntry::StalledStore(_)))
-                .count(),
-            "stalled-entry counter drifted from the ROB"
-        );
-        if self.stalled_entries > 0 {
+        if !self.stalled.is_empty() {
             return Some(now + 1);
         }
         match self.rob.front() {
@@ -439,12 +438,14 @@ impl Snapshot for Core {
         for (tag, payload) in rob_raw {
             rob.push_back(RobEntry::unpack(tag, payload)?);
         }
-        self.rob = rob;
-        self.stalled_entries = self
-            .rob
+        self.popped = 0;
+        self.stalled = rob
             .iter()
-            .filter(|e| matches!(e, RobEntry::StalledLoad(_) | RobEntry::StalledStore(_)))
-            .count();
+            .enumerate()
+            .filter(|(_, e)| matches!(e, RobEntry::StalledLoad(_) | RobEntry::StalledStore(_)))
+            .map(|(i, _)| i as u64)
+            .collect();
+        self.rob = rob;
         self.store_buffer = decode(state, "store_buffer")?;
         self.pending_gap = decode(state, "pending_gap")?;
         self.pending_mem = decode(state, "pending_mem")?;
@@ -675,6 +676,122 @@ mod tests {
         }
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.rob_occupancy(), b.rob_occupancy());
+    }
+
+    /// Rejects every load before `open_at`, then accepts `per_cycle`
+    /// loads a cycle as cache hits; takes stores only from `open_at` on.
+    /// Logs every load attempt as `(cycle, addr, accepted)`.
+    #[derive(Clone)]
+    struct GatedPort {
+        open_at: Cycle,
+        per_cycle: usize,
+        used: (Cycle, usize),
+        log: Vec<(Cycle, PhysAddr, bool)>,
+    }
+
+    impl MemoryPort for GatedPort {
+        fn load(
+            &mut self,
+            now: Cycle,
+            _core: CoreId,
+            _slot: u64,
+            addr: PhysAddr,
+            _prof: &mut Profiler,
+        ) -> PortResult {
+            if self.used.0 != now {
+                self.used = (now, 0);
+            }
+            let ok = now >= self.open_at && self.used.1 < self.per_cycle;
+            self.used.1 += usize::from(ok);
+            self.log.push((now, addr, ok));
+            if ok {
+                PortResult::Hit { latency: 3 }
+            } else {
+                PortResult::Rejected
+            }
+        }
+        fn store(&mut self, now: Cycle, _core: CoreId, _addr: PhysAddr, _: &mut Profiler) -> bool {
+            now >= self.open_at
+        }
+    }
+
+    /// Checks that in every cycle the re-attempted loads are a prefix of
+    /// the still-stalled loads in program order, ending at the first
+    /// rejection. Returns the most stalled loads un-stalled in one cycle.
+    fn assert_retries_oldest_first(log: &[(Cycle, PhysAddr, bool)]) -> usize {
+        let mut stalled: VecDeque<PhysAddr> = VecDeque::new();
+        let mut most = 0;
+        for cycle in log.chunk_by(|a, b| a.0 == b.0) {
+            let now = cycle[0].0;
+            let retries = cycle.iter().take_while(|e| stalled.contains(&e.1)).count();
+            for (k, &(_, addr, ok)) in cycle[..retries].iter().enumerate() {
+                assert_eq!(addr, stalled[k], "cycle {now}: retry {k} out of order");
+                assert!(
+                    ok || k + 1 == retries,
+                    "cycle {now}: retried past a rejection"
+                );
+            }
+            let unstalled = cycle[..retries].iter().filter(|e| e.2).count();
+            stalled.drain(..unstalled);
+            most = most.max(unstalled);
+            for &(_, addr, ok) in &cycle[retries..] {
+                assert!(
+                    !stalled.contains(&addr),
+                    "cycle {now}: retry after a new load"
+                );
+                if !ok {
+                    stalled.push_back(addr);
+                }
+            }
+        }
+        most
+    }
+
+    #[test]
+    fn stalled_entries_retry_oldest_first_and_survive_a_snapshot() {
+        let mut c = cfg();
+        c.store_buffer_entries = 4;
+        // Unique addresses (the trace never wraps here): three loads, then
+        // a store, each behind one ALU op.
+        let ops: Vec<TraceOp> = (0..2_000u64)
+            .map(|i| match i % 4 {
+                3 => TraceOp::store(1, PhysAddr(0x100_0000 + i * 64)),
+                _ => TraceOp::load(1, PhysAddr(0x1000 + i * 64)),
+            })
+            .collect();
+        let mut a = Core::new(CoreId(0), &c, Box::new(VecTrace::new("gated", ops.clone())));
+        let mut port_a = GatedPort {
+            open_at: 60,
+            per_cycle: 2,
+            used: (0, 0),
+            log: Vec::new(),
+        };
+        run(&mut a, &mut port_a, 40);
+
+        // Mid-stall: ALU ops separate the stalled loads, and the full
+        // store buffer has left stores stalled too.
+        let at: Vec<usize> = a.stalled.iter().map(|&s| (s - a.popped) as usize).collect();
+        let is_load = |&i: &usize| matches!(a.rob[i], RobEntry::StalledLoad(_));
+        assert!(at.iter().filter(|i| is_load(i)).count() >= 2, "{at:?}");
+        assert!(at.iter().any(|i| !is_load(i)), "no stalled store: {at:?}");
+        assert!(at.windows(2).any(|w| w[1] > w[0] + 1), "contiguous: {at:?}");
+
+        let state = a.save_state();
+        let mut b = Core::new(CoreId(0), &c, Box::new(VecTrace::new("gated", ops)));
+        b.restore_state(&state).unwrap();
+        let rebuilt: Vec<usize> = b.stalled.iter().map(|&s| (s - b.popped) as usize).collect();
+        assert_eq!(rebuilt, at);
+        let mut port_b = port_a.clone();
+        for now in 41..=400 {
+            a.tick(now, &mut port_a, &mut Profiler::off());
+            b.tick(now, &mut port_b, &mut Profiler::off());
+        }
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(port_a.log, port_b.log);
+        assert!(a.stalled.len() < at.len(), "the stall never cleared");
+        assert!(a.stats().retired.get() > 200, "{:?}", a.stats());
+        // Opening the port un-stalls two loads in one cycle, then stops.
+        assert_eq!(assert_retries_oldest_first(&port_a.log), 2);
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod stage;
 
 pub use breakdown::{StageBreakdown, StageLatency};
 pub use metrics::{MetricsFormat, MetricsSample, METRICS_SCHEMA_VERSION};
-pub use profiler::{Comp, ProfileNode, ProfileSummary, Profiler, VaultTickStat, WakeSourceStat};
+pub use profiler::{Comp, ProfileNode, ProfileSummary, Profiler, TickStat, WakeSourceStat};
 pub use stage::{Point, ReqClass, Stage, STAGE_COUNT};
 
 use camps_types::clock::Cycle;

@@ -188,22 +188,26 @@ pub struct ProfileSummary {
     /// Vault ticks run and skipped, one entry per cube. Filled in by the
     /// run loop from the cubes' host-only work counters; empty when the
     /// summary comes straight from [`Profiler::summary`].
-    pub vault_ticks: Vec<VaultTickStat>,
+    pub vault_ticks: Vec<TickStat>,
+    /// Core ticks run and skipped, one entry per core, filled in the
+    /// same way from the run loop's counters.
+    pub core_ticks: Vec<TickStat>,
 }
 
-/// One cube's vault-tick work counts: exact and machine-independent.
-/// Under the polling engine every vault ticks every cycle; under the
-/// event engine only the vaults the cube's wake calendar says are due.
+/// Tick work counts of one cube's vaults or of one core: exact and
+/// machine-independent. Under the polling engine every vault and core
+/// ticks every visited cycle; under the event engine only the ones the
+/// wake calendars say are due.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VaultTickStat {
-    /// Vault ticks executed.
+pub struct TickStat {
+    /// Ticks executed.
     pub run: u64,
-    /// Vault ticks skipped: the vault was not yet due, or is stalled.
+    /// Ticks skipped: not yet due, or (a vault) stalled by a fault.
     pub skipped: u64,
 }
 
-impl VaultTickStat {
-    /// Skipped fraction of all vault-tick slots (0.0 when none).
+impl TickStat {
+    /// Skipped fraction of all tick slots (0.0 when none).
     #[must_use]
     pub fn skipped_ratio(&self) -> f64 {
         let all = self.run + self.skipped;
@@ -274,6 +278,17 @@ impl ProfileSummary {
                     v.run,
                     v.skipped,
                     v.skipped_ratio() * 100.0
+                ));
+            }
+        }
+        if !self.core_ticks.is_empty() {
+            out.push_str("\ncore  core_ticks_run  core_ticks_skipped  skipped%\n");
+            for (core, c) in self.core_ticks.iter().enumerate() {
+                out.push_str(&format!(
+                    "{core:>4}  {:>14}  {:>18}  {:>7.1}%\n",
+                    c.run,
+                    c.skipped,
+                    c.skipped_ratio() * 100.0
                 ));
             }
         }
@@ -580,6 +595,7 @@ mod real {
                 nodes,
                 wake_sources,
                 vault_ticks: Vec::new(),
+                core_ticks: Vec::new(),
             })
         }
     }
@@ -752,7 +768,8 @@ mod tests {
                 },
             ],
             wake_sources: vec![],
-            vault_ticks: vec![VaultTickStat { run: 3, skipped: 1 }],
+            vault_ticks: vec![TickStat { run: 3, skipped: 1 }],
+            core_ticks: vec![TickStat { run: 2, skipped: 2 }],
         };
         assert_eq!(s.render_folded(), "run_loop 10\nrun_loop;mem_tick 20\n");
         let json = serde_json::to_string(&s).unwrap();

@@ -157,10 +157,12 @@ mod tests {
         assert_eq!(ReplacementKind::Lru.victim(&e), 0);
     }
 
+    /// Debug builds assert on the broken invariant; release builds fall
+    /// back to index 0, as `victim` documents.
     #[test]
-    #[should_panic(expected = "empty")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "empty"))]
     fn empty_panics() {
-        let _ = ReplacementKind::Lru.victim(&[]);
+        assert_eq!(ReplacementKind::Lru.victim(&[]), 0);
     }
 
     #[test]

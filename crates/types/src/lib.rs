@@ -11,7 +11,8 @@
 //!   Table I of the paper, plus integrity-check knobs and a deterministic
 //!   fault-injection plan,
 //! * [`error`] — typed simulation errors: configuration validation, trace
-//!   format defects, request-conservation violations, and watchdog reports.
+//!   format defects, request-conservation violations, and watchdog reports,
+//! * [`hash`] — a deterministic multiplicative hasher for integer-keyed maps.
 //!
 //! Nothing in here simulates anything; these are plain data types with
 //! conversion helpers so the substrate crates (`camps-dram`, `camps-link`,
@@ -23,6 +24,7 @@ pub mod addr;
 pub mod clock;
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod request;
 pub mod snapshot;
 pub mod wake;
@@ -35,6 +37,7 @@ pub use config::{
     SystemConfig, VaultConfig,
 };
 pub use error::{ConfigError, IntegrityError, SimError, TraceError, VaultSnapshot, WatchdogReport};
+pub use hash::{IntMap, IntSet};
 pub use request::{AccessKind, CoreId, MemRequest, MemResponse, RequestId, ServiceSource};
 pub use snapshot::{fnv1a, Snapshot, SnapshotManifest, SNAPSHOT_FORMAT_VERSION};
 pub use wake::{fold_wake, Wake};
