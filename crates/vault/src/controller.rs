@@ -110,6 +110,12 @@ pub struct VaultController {
     /// rebuilt by the constructor, not snapshotted).
     mitigate: bool,
     mitigate_threshold: u32,
+    /// A row landed in the prefetch buffer (or state was restored) since
+    /// the last resident-row scan. Outside that window no queued request
+    /// targets a resident row: `try_enqueue` serves resident rows on
+    /// arrival, and only `insert_prefetched` adds rows. Runtime only —
+    /// not snapshotted.
+    rescan: bool,
     /// Observability hooks. Runtime pacing only — like `Engine`, this is
     /// deliberately excluded from [`Snapshot`] so checkpoints stay
     /// byte-identical with and without observability.
@@ -173,6 +179,7 @@ impl VaultController {
             rowguard: RowGuard::new(),
             mitigate: cfg.rowguard.enable_mitigation,
             mitigate_threshold: cfg.rowguard.threshold,
+            rescan: false,
             obs: TraceHandle::disabled(),
         })
     }
@@ -437,6 +444,7 @@ impl VaultController {
                 });
             }
         }
+        self.rescan = true;
         if let Some(ev) = self.buffer.insert_with_utilization(key, now, seed_util) {
             if ev.referenced {
                 self.stats.prefetches_referenced.inc();
@@ -449,8 +457,14 @@ impl VaultController {
     }
 
     /// Serves queued requests whose row arrived in the buffer after they
-    /// were enqueued (fetch completed while they waited).
+    /// were enqueued (fetch completed while they waited). Only a tick that
+    /// inserted a row (or a restore) can find any, so other ticks skip the
+    /// scan.
     fn serve_buffer_resident(&mut self, now: Cycle) {
+        if !std::mem::take(&mut self.rescan) {
+            debug_assert!(!self.queued_resident(), "queued request on a resident row");
+            return;
+        }
         let hit_latency = self.hit_latency;
         for is_write in [false, true] {
             let mut i = 0;
@@ -485,6 +499,26 @@ impl VaultController {
                 }
             }
         }
+    }
+
+    /// Whether any queued request targets a buffer-resident row: the scan
+    /// `rescan` spares, kept as the debug oracle for its invariant.
+    fn queued_resident(&self) -> bool {
+        self.read_q
+            .iter()
+            .chain(self.write_q.iter())
+            .any(|q| self.buffer.contains(q.decoded.row_key()))
+    }
+
+    /// Queued requests (both queues) per bank that target its open row.
+    fn open_row_demand(&self) -> Vec<u32> {
+        let mut demand = vec![0; self.banks.len()];
+        for q in self.read_q.iter().chain(self.write_q.iter()) {
+            if self.banks[q.bank()].open_row() == Some(q.row()) {
+                demand[q.bank()] += 1;
+            }
+        }
+        demand
     }
 
     /// Starts pending row fetches whose bank can stream the row now.
@@ -801,6 +835,9 @@ impl VaultController {
     }
 
     fn try_issue_precharge(&mut self, now: Cycle, use_writes: bool) -> bool {
+        // Counted once, when the first candidate needs it: bank state does
+        // not change during the pick.
+        let mut demand: Option<Vec<u32>> = None;
         let pick = self.candidates(use_writes).find(|&i| {
             let q = if use_writes {
                 &self.write_q[i]
@@ -820,9 +857,8 @@ impl VaultController {
             }
             // FR-FCFS protects the open row while other requests still
             // target it — unless this request is starving.
-            let open_row_demand = queued_same_row(&self.read_q, q.decoded.bank, open, None)
-                + queued_same_row(&self.write_q, q.decoded.bank, open, None);
-            open_row_demand == 0 || now.saturating_sub(q.arrived) > STARVATION_LIMIT
+            let counts = demand.get_or_insert_with(|| self.open_row_demand());
+            counts[bank_idx] == 0 || now.saturating_sub(q.arrived) > STARVATION_LIMIT
         });
         let Some(i) = pick else { return false };
         let q = if use_writes {
@@ -1028,14 +1064,15 @@ impl Wake for VaultController {
             return wake;
         }
 
-        // Queued demand: a buffer-resident row is served next tick; an
-        // open matching row waits on bus + CAS timing; a closed bank on
-        // activation timing; a conflicting row on precharge timing or the
-        // starvation override.
+        // Queued demand: requests on a row that just landed in the buffer
+        // are served next tick; an open matching row waits on bus + CAS
+        // timing; a closed bank on activation timing; a conflicting row on
+        // precharge timing or the starvation override.
+        if self.rescan {
+            return Some(next);
+        }
+        debug_assert!(!self.queued_resident(), "queued request on a resident row");
         for q in self.read_q.iter().chain(self.write_q.iter()) {
-            if self.buffer.contains(q.decoded.row_key()) {
-                return Some(next);
-            }
             let bank = &self.banks[q.bank()];
             let at = match bank.open_row() {
                 Some(r) if r == q.row() => self.bus_free.max(bank.rdwr_ready_at()),
@@ -1197,6 +1234,7 @@ impl Snapshot for VaultController {
         } else {
             RowGuard::new()
         };
+        self.rescan = true;
         Ok(())
     }
 }
@@ -1732,6 +1770,97 @@ mod tests {
             b.finalize(now);
             assert_eq!(a.stats(), b.stats(), "{kind}: stats diverged");
         }
+    }
+
+    #[test]
+    fn queued_requests_are_served_on_the_tick_their_row_lands() {
+        let c = cfg();
+        // Two reads and a write queued on row 5 of bank 0 while a fetch of
+        // that row is in flight: it lands at cycle 50, and until then the
+        // pending fetch holds off demand activations on its bank.
+        let behind_fetch = || {
+            let mut v = VaultController::new(0, &c, SchemeKind::Base).unwrap();
+            v.fetches.push(FetchJob {
+                key: RowKey { bank: 0, row: 5 },
+                precharge_after: false,
+                seed_util: 0,
+                needs_activate: false,
+                spawned: 0,
+                chunks_left: 0,
+                done: Some(50),
+            });
+            for (id, col, kind) in [
+                (1, 1, AccessKind::Read),
+                (2, 2, AccessKind::Read),
+                (3, 3, AccessKind::Write),
+            ] {
+                let (r, d) = req_at(&c, id, 0, 5, col, kind, 1);
+                assert!(v.try_enqueue(r, d, 1));
+            }
+            v
+        };
+        // Straight through, and restored from a snapshot taken while the
+        // fetch is in flight.
+        for snapshot_at in [None, Some(25)] {
+            let mut v = behind_fetch();
+            let mut out = Vec::new();
+            for now in 1..=100 {
+                if snapshot_at == Some(now) {
+                    let mut fresh = VaultController::new(0, &c, SchemeKind::Base).unwrap();
+                    fresh.restore_state(&v.save_state()).unwrap();
+                    v = fresh;
+                }
+                v.tick(now, &mut out, &mut Profiler::off());
+                let queued = (v.read_q.len(), v.write_q.len());
+                if now < 50 {
+                    assert_eq!(queued, (2, 1), "{snapshot_at:?}: cycle {now}");
+                } else if now == 50 {
+                    assert_eq!(queued, (0, 0), "{snapshot_at:?}: not served on landing");
+                }
+            }
+            assert_eq!(v.stats().buffer_hits.get(), 3);
+            let reads: Vec<_> = out.iter().filter(|r| r.kind.is_read()).collect();
+            assert_eq!(reads.len(), 2);
+            for r in reads {
+                assert_eq!(r.source, ServiceSource::PrefetchBuffer);
+                assert_eq!(r.completed_at, 50 + c.prefetch.hit_latency);
+            }
+        }
+    }
+
+    #[test]
+    fn queued_write_on_open_row_holds_off_a_read_conflict() {
+        // No refresh: its drain would close the open row.
+        let mut c = cfg();
+        c.dram.t_refi = 0;
+        // Open row 5 in bank 0, then queue a read to row 6 (a conflict)
+        // with or without a write to the open row.
+        let conflict_done = |with_write: bool| {
+            let mut v = VaultController::new(0, &c, SchemeKind::Nopf).unwrap();
+            let (r, d) = req_at(&c, 1, 0, 5, 0, AccessKind::Read, 0);
+            assert!(v.try_enqueue(r, d, 0));
+            let (_, start) = run_until(&mut v, 0, 1, 10_000);
+            if with_write {
+                let (w, dw) = req_at(&c, 2, 0, 5, 1, AccessKind::Write, start);
+                assert!(v.try_enqueue(w, dw, start));
+            }
+            let (r, d) = req_at(&c, 3, 0, 6, 0, AccessKind::Read, start);
+            assert!(v.try_enqueue(r, d, start));
+            let mut out = Vec::new();
+            let mut now = start;
+            while !out.iter().any(|r: &MemResponse| r.id == RequestId(3)) {
+                now += 1;
+                assert!(now < start + 3 * STARVATION_LIMIT, "conflict never served");
+                v.tick(now, &mut out, &mut Profiler::off());
+            }
+            assert_eq!(v.stats().row_conflicts.get(), 1);
+            now - start
+        };
+        let alone = conflict_done(false);
+        assert!(alone < 1_000, "an unprotected conflict precharges at once");
+        // The queued write alone protects the open row until the read
+        // starves.
+        assert!(conflict_done(true) > STARVATION_LIMIT);
     }
 
     #[test]

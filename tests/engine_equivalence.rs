@@ -155,6 +155,39 @@ fn hammer_double_streams_are_bit_identical_across_engines() {
 }
 
 #[test]
+fn hammer_double_snapshot_restores_identically_under_both_engines() {
+    let cfg = SystemConfig::paper_default();
+    let horizon = 40_000;
+    let machine = |engine| {
+        let mut sys = System::new(&cfg, SchemeKind::CampsMod, hammer_traces(&cfg)).unwrap();
+        sys.set_engine(engine);
+        let st = sys.run_begin(u64::MAX, horizon);
+        (sys, st)
+    };
+    // Snapshot mid-horizon under the event engine, with deep queues,
+    // row fetches and writebacks in flight.
+    let (mut a, mut st_a) = machine(Engine::Event);
+    while a.now() < horizon / 2 {
+        assert!(a.run_step(&mut st_a).unwrap(), "ended before the snapshot");
+    }
+    let sys_state = a.save_state();
+    let run_state = st_a.save_state();
+    while a.run_step(&mut st_a).unwrap() {}
+    let reference = canonical(&a.run_finish(&st_a, "hammer").unwrap());
+    for engine in [Engine::Event, Engine::Polling] {
+        let (mut b, mut st_b) = machine(engine);
+        b.restore_state(&sys_state).unwrap();
+        st_b.restore_state(&run_state).unwrap();
+        while b.run_step(&mut st_b).unwrap() {}
+        let restored = canonical(&b.run_finish(&st_b, "hammer").unwrap());
+        assert_eq!(
+            reference, restored,
+            "hammer-double snapshot did not continue identically under {engine:?}"
+        );
+    }
+}
+
+#[test]
 fn stalled_then_quarantined_vault_is_bit_identical_across_engines() {
     let mut cfg = SystemConfig::paper_default();
     cfg.faults.stall_vault = 3;
