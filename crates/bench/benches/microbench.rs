@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo bench -p camps-bench --bench microbench`
 
-use camps::experiment::{run_mix, RunLength};
+use camps::experiment::{run, RunLength, RunSpec};
 use camps_dram::bank::Bank;
 use camps_dram::timing::TimingCpu;
 use camps_obs::Profiler;
@@ -140,7 +140,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.bench_function("mini_run_hm1_campsmod", |b| {
         b.iter(|| {
             let mix = Mix::by_id("HM1").unwrap();
-            black_box(run_mix(&cfg, mix, SchemeKind::CampsMod, &len, 42).expect("bench run"))
+            let spec = RunSpec::fresh(mix, SchemeKind::CampsMod, len, 42);
+            black_box(run(&cfg, &spec).expect("bench run"))
         });
     });
     group.finish();

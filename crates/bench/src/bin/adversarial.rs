@@ -26,6 +26,7 @@
 
 use camps::metrics::RunResult;
 use camps::System;
+use camps_bench::Baseline;
 use camps_cpu::trace::TraceSource;
 use camps_dram::TimingCpu;
 use camps_prefetch::SchemeKind;
@@ -168,16 +169,6 @@ fn render(entries: &[Entry], ranking: &[(SchemeKind, f64)], mitigated: &[Mitigat
     }
     out.push_str("\n  ]\n}\n");
     out
-}
-
-/// Pulls `"adversarial_ceiling": <secs>` out of the baseline file
-/// (textual; the format is ours).
-fn baseline_ceiling(text: &str) -> Option<f64> {
-    let needle = "\"adversarial_ceiling\": ";
-    let at = text.find(needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
 }
 
 fn main() -> ExitCode {
@@ -331,21 +322,11 @@ fn main() -> ExitCode {
     println!("wrote {out_path}");
 
     if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("adversarial: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(ceiling) = baseline_ceiling(&text) else {
-            eprintln!("adversarial: baseline {path} has no adversarial_ceiling");
-            return ExitCode::FAILURE;
-        };
         let elapsed = started.elapsed().as_secs_f64();
-        println!("total wall time {elapsed:.1}s, ceiling {ceiling:.1}s");
-        if elapsed > ceiling {
-            eprintln!("adversarial: wall time exceeded the committed ceiling");
+        if let Err(e) =
+            Baseline::load(&path).and_then(|b| b.check_wall_time("adversarial", elapsed))
+        {
+            eprintln!("adversarial: {e}");
             return ExitCode::FAILURE;
         }
     }

@@ -20,8 +20,10 @@
 //! `--check` gates total wall time against the `multicube_ceiling` entry
 //! of the committed baseline (a runaway guard, not a perf benchmark).
 
-use camps::experiment::{run_matrix, RunLength};
+use camps::experiment::RunLength;
 use camps::metrics::RunResult;
+use camps::sweep::{run_sweep, SweepPolicy};
+use camps_bench::Baseline;
 use camps_prefetch::SchemeKind;
 use camps_types::config::SystemConfig;
 use camps_workloads::Mix;
@@ -62,8 +64,19 @@ fn run() -> Result<String, String> {
         let mut cfg = SystemConfig::paper_default();
         cfg.topology.cubes = cubes;
         let t0 = Instant::now();
-        let results = run_matrix(&cfg, &mixes, &SchemeKind::ALL, &len, SEED)
-            .map_err(|e| format!("{cubes}-cube matrix failed: {e}"))?;
+        let sweep = run_sweep(
+            &cfg,
+            &mixes,
+            &SchemeKind::ALL,
+            &len,
+            SEED,
+            &SweepPolicy::default(),
+        )
+        .map_err(|e| format!("{cubes}-cube matrix failed: {e}"))?;
+        if let Some(err) = sweep.errors.into_iter().flatten().next() {
+            return Err(format!("{cubes}-cube matrix failed: {err}"));
+        }
+        let results: Vec<RunResult> = sweep.results.into_iter().flatten().collect();
         let wall = t0.elapsed().as_secs_f64();
         let nopf = scheme_geomean(&results, SchemeKind::Nopf);
         let _ = write!(
@@ -95,16 +108,6 @@ fn run() -> Result<String, String> {
     }
     body.push_str("  ]\n}\n");
     Ok(body)
-}
-
-/// Pulls `"multicube_ceiling": <secs>` out of the baseline file
-/// (textual; the format is ours).
-fn baseline_ceiling(text: &str) -> Option<f64> {
-    let needle = "\"multicube_ceiling\": ";
-    let at = text.find(needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
 }
 
 fn main() -> ExitCode {
@@ -150,23 +153,12 @@ fn main() -> ExitCode {
     println!("wrote {out_path}");
 
     if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("multicube: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(ceiling) = baseline_ceiling(&text) else {
-            eprintln!("multicube: baseline {path} has no multicube_ceiling entry");
-            return ExitCode::FAILURE;
-        };
-        let total = started.elapsed().as_secs_f64();
-        if total > ceiling {
-            eprintln!("multicube: wall time {total:.1}s exceeds the {ceiling:.0}s ceiling");
+        let elapsed = started.elapsed().as_secs_f64();
+        if let Err(e) = Baseline::load(&path).and_then(|b| b.check_wall_time("multicube", elapsed))
+        {
+            eprintln!("multicube: {e}");
             return ExitCode::FAILURE;
         }
-        println!("check: {total:.1}s within the {ceiling:.0}s ceiling");
     }
     ExitCode::SUCCESS
 }

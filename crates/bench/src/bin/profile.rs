@@ -30,12 +30,9 @@
 
 use camps::system::Engine;
 use camps::System;
-use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
+use camps_bench::{config_for, traces_for, Baseline};
 use camps_obs::{ObsConfig, ProfileSummary, TickStat};
 use camps_prefetch::SchemeKind;
-use camps_types::addr::PhysAddr;
-use camps_types::config::SystemConfig;
-use camps_workloads::Mix;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -50,39 +47,6 @@ const ATTRIBUTION_FLOOR: f64 = 0.9;
 const TOP_COMPONENTS: usize = 6;
 
 const WORKLOADS: [&str; 3] = ["HM1", "LM1", "idle-heavy"];
-
-/// The config a workload runs under (mirrors the `throughput` bench so
-/// the two report on the same machines).
-fn config_for(workload: &str) -> SystemConfig {
-    let mut cfg = SystemConfig::paper_default();
-    if workload == "idle-heavy" {
-        cfg.cpu.cores = 1;
-        cfg.cpu.rob_entries = 64;
-    }
-    cfg
-}
-
-/// The traces a workload feeds its cores (mirrors `throughput`).
-fn traces_for(cfg: &SystemConfig, workload: &str, seed: u64) -> Vec<Box<dyn TraceSource>> {
-    if workload == "idle-heavy" {
-        let gap = cfg.cpu.rob_entries - 1;
-        return (0..cfg.cpu.cores)
-            .map(|c| {
-                let ops: Vec<TraceOp> = (0..2048u64)
-                    .map(|i| TraceOp::load(gap, PhysAddr((u64::from(c) << 32) + i * (1 << 19))))
-                    .collect();
-                Box::new(VecTrace::new(format!("idle{c}"), ops)) as Box<dyn TraceSource>
-            })
-            .collect();
-    }
-    let mix = Mix::by_id(workload).expect("known mix");
-    let capacity = cfg
-        .hmc
-        .address_mapping()
-        .expect("valid mapping")
-        .capacity_bytes();
-    mix.build_traces(capacity, seed).expect("traces build")
-}
 
 /// One profiled (workload, engine) cell.
 struct Cell {
@@ -205,16 +169,6 @@ fn push_ticks(out: &mut String, field: &str, unit: &str, ticks: &[TickStat]) {
     out.push(']');
 }
 
-/// Pulls `"profile_ceiling": <secs>` out of the baseline file (textual;
-/// the format is ours).
-fn baseline_ceiling(text: &str) -> Option<f64> {
-    let needle = "\"profile_ceiling\": ";
-    let at = text.find(needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_profile.json");
@@ -288,21 +242,9 @@ fn main() -> ExitCode {
                 ok = false;
             }
         }
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("profile: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(ceiling) = baseline_ceiling(&text) else {
-            eprintln!("profile: baseline {path} has no profile_ceiling");
-            return ExitCode::FAILURE;
-        };
         let elapsed = started.elapsed().as_secs_f64();
-        println!("total wall time {elapsed:.1}s, ceiling {ceiling:.1}s");
-        if elapsed > ceiling {
-            eprintln!("profile: wall time exceeded the committed ceiling");
+        if let Err(e) = Baseline::load(&path).and_then(|b| b.check_wall_time("profile", elapsed)) {
+            eprintln!("profile: {e}");
             ok = false;
         }
         if !ok {

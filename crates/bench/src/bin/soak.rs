@@ -183,14 +183,8 @@ fn main() -> ExitCode {
             checkpoint_every: Some(2_000),
             checkpoint_path: None,
         };
-        match run_with_recovery(
-            &mut sys,
-            target_instructions,
-            max_cycles,
-            label,
-            seed,
-            &policy,
-        ) {
+        let run = sys.run_begin(target_instructions, max_cycles);
+        match run_with_recovery(&mut sys, run, label, seed, &policy) {
             Ok((result, report)) => {
                 runs += 1;
                 if attack.is_some() {

@@ -31,6 +31,7 @@
 use camps::experiment::RunLength;
 use camps::metrics::RunResult;
 use camps::sweep::{run_sweep, InjectedFault, JobOutcome, SweepFaultPlan, SweepPolicy, SweepRun};
+use camps_bench::Baseline;
 use camps_prefetch::SchemeKind;
 use camps_types::config::{SystemConfig, TopologyKind};
 use camps_workloads::Mix;
@@ -208,16 +209,6 @@ fn run(cubes: u32, kind: TopologyKind) -> Result<String, String> {
     ))
 }
 
-/// Pulls `"sweep_ceiling": <secs>` out of the baseline file (textual;
-/// the format is ours).
-fn baseline_ceiling(text: &str) -> Option<f64> {
-    let needle = "\"sweep_ceiling\": ";
-    let at = text.find(needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_sweep.json");
@@ -280,21 +271,9 @@ fn main() -> ExitCode {
     println!("wrote {out_path}");
 
     if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sweep: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(ceiling) = baseline_ceiling(&text) else {
-            eprintln!("sweep: baseline {path} has no sweep_ceiling");
-            return ExitCode::FAILURE;
-        };
         let elapsed = started.elapsed().as_secs_f64();
-        println!("total wall time {elapsed:.1}s, ceiling {ceiling:.1}s");
-        if elapsed > ceiling {
-            eprintln!("sweep: wall time exceeded the committed ceiling");
+        if let Err(e) = Baseline::load(&path).and_then(|b| b.check_wall_time("sweep", elapsed)) {
+            eprintln!("sweep: {e}");
             return ExitCode::FAILURE;
         }
     }

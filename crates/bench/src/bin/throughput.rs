@@ -38,12 +38,9 @@
 use camps::metrics::RunResult;
 use camps::system::Engine;
 use camps::System;
-use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
+use camps_bench::{config_for, traces_for, Baseline};
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
-use camps_types::addr::PhysAddr;
-use camps_types::config::SystemConfig;
-use camps_workloads::Mix;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -81,46 +78,6 @@ impl Sample {
     fn mcycles_per_sec(&self) -> f64 {
         self.cycles as f64 / self.wall_secs.max(1e-9) / 1e6
     }
-}
-
-/// The config a workload runs under. The paper mixes use the Table I
-/// machine untouched; `idle-heavy` narrows it to one core so the whole
-/// machine genuinely sleeps between memory round trips.
-fn config_for(workload: &str) -> SystemConfig {
-    let mut cfg = SystemConfig::paper_default();
-    if workload == "idle-heavy" {
-        // One narrow core: a single outstanding row-miss load at a time,
-        // with only rob/issue_width cycles of retire work per round trip —
-        // the machine spends most wall-cycles fully asleep.
-        cfg.cpu.cores = 1;
-        cfg.cpu.rob_entries = 64;
-    }
-    cfg
-}
-
-/// The traces a workload feeds its cores.
-fn traces_for(cfg: &SystemConfig, workload: &str, seed: u64) -> Vec<Box<dyn TraceSource>> {
-    if workload == "idle-heavy" {
-        // Each load is preceded by enough compute to fill the ROB, so the
-        // core goes quiescent for the whole memory round trip. Strided
-        // across rows so every access misses the caches.
-        let gap = cfg.cpu.rob_entries - 1;
-        return (0..cfg.cpu.cores)
-            .map(|c| {
-                let ops: Vec<TraceOp> = (0..2048u64)
-                    .map(|i| TraceOp::load(gap, PhysAddr((u64::from(c) << 32) + i * (1 << 19))))
-                    .collect();
-                Box::new(VecTrace::new(format!("idle{c}"), ops)) as Box<dyn TraceSource>
-            })
-            .collect();
-    }
-    let mix = Mix::by_id(workload).expect("known mix");
-    let capacity = cfg
-        .hmc
-        .address_mapping()
-        .expect("valid mapping")
-        .capacity_bytes();
-    mix.build_traces(capacity, seed).expect("traces build")
 }
 
 /// Runs `workload` under `engine`, returning the sample and the result
@@ -303,17 +260,6 @@ fn render(pairs: &[(Sample, Sample)], overhead: Option<&Overhead>) -> String {
     out
 }
 
-/// Pulls the named per-workload ratio (`event_over_polling` or
-/// `obs_over_plain`) out of a baseline file written by this binary
-/// (matching is textual; the format is ours).
-fn baseline_ratio(text: &str, workload: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"workload\": \"{workload}\", \"{key}\": ");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(['}', ','])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_engine.json");
@@ -362,20 +308,22 @@ fn main() -> ExitCode {
 
     if let Some(path) = check_path {
         // Regression gate: engine speedup ratios vs the committed baseline.
-        let baseline_text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let baseline = match Baseline::load(&path) {
+            Ok(b) => b,
             Err(e) => {
-                eprintln!("throughput: cannot read baseline {path}: {e}");
+                eprintln!("throughput: {e}");
                 return ExitCode::FAILURE;
             }
         };
         // The gated HM1 pair doubles as the overhead gate's plain run.
         let mut obs_plain = None;
         for workload in CHECKED {
-            let Some(expected) = baseline_ratio(&baseline_text, workload, "event_over_polling")
-            else {
-                eprintln!("throughput: baseline {path} has no {workload} speedup");
-                return ExitCode::FAILURE;
+            let expected = match baseline.speedup(workload) {
+                Ok(x) => x,
+                Err(e) => {
+                    eprintln!("throughput: {e}");
+                    return ExitCode::FAILURE;
+                }
             };
             let (p, e, re) = match measure_pair(workload) {
                 Ok(pair) => pair,
@@ -400,7 +348,7 @@ fn main() -> ExitCode {
         }
         // Observability-overhead gate — only when the baseline commits to a
         // ratio and the binary carries the hooks at all.
-        let expected_oh = baseline_ratio(&baseline_text, OBS_WORKLOAD, "obs_over_plain");
+        let expected_oh = baseline.obs_over_plain(OBS_WORKLOAD);
         if let Some(expected_oh) = expected_oh.filter(|_| TraceHandle::compiled()) {
             let (e, re) = obs_plain.expect("the overhead workload is gated above");
             let o = match measure_observed(OBS_WORKLOAD, &e, &re, None) {

@@ -7,7 +7,8 @@
 //!             [--trace-out FILE] [--trace-filter SUBSTR]
 //!             [--metrics-every CYCLES] [--metrics-out FILE]
 //!             [--profile] [--profile-out FILE]
-//! camps run   --resume <FILE> [--json]   # continue a checkpointed run
+//! camps run   --resume <FILE> [--json] [--engine …] [--checkpoint-every …]
+//!             [--max-recoveries N]   # continue a checkpointed run
 //! camps sweep [--schemes a,b,…] [--mixes a,b,…] [--scale …] [--seed N] [--json]
 //!             [--cubes N] [--topology chain|star]
 //!             [--journal FILE] [--retries N] [--backoff-ms N] [--deadline-secs S]
@@ -17,9 +18,10 @@
 //! camps config                  # dump the Table I configuration as JSON
 //! ```
 //!
-//! `--engine` selects the stepping strategy (default `event`). Both
-//! engines produce bit-identical results; `polling` ticks every cycle
-//! and is kept as the slow reference path.
+//! `--engine` selects the stepping strategy of `camps run` (default
+//! `event`); `camps sweep` always runs the event engine and rejects the
+//! flag. Both engines produce bit-identical results; `polling` ticks
+//! every cycle and is kept as the slow reference path.
 //!
 //! `--cubes` sizes the memory pool (power of two; default 1, the
 //! paper's single-cube machine) and `--topology` picks how the cubes
@@ -62,10 +64,7 @@
 //! The exit code is nonzero when any job ends quarantined; partial
 //! results are still printed.
 
-use camps::experiment::{
-    resume_mix, run_mix_observed, run_mix_recoverable, run_mix_recoverable_observed,
-    run_mix_with_engine, RunLength,
-};
+use camps::experiment::{run, RunLength, RunSpec, Start};
 use camps::metrics::{average_speedup, speedup_table, RunResult};
 use camps::recovery::RecoveryPolicy;
 use camps::sweep::{run_sweep, SweepPolicy};
@@ -89,7 +88,7 @@ struct Options {
     checkpoint_path: Option<PathBuf>,
     max_recoveries: u32,
     resume: Option<PathBuf>,
-    engine: Engine,
+    engine: Option<Engine>,
     obs: ObsConfig,
     journal: Option<PathBuf>,
     retries: u32,
@@ -124,7 +123,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         checkpoint_path: None,
         max_recoveries: 0,
         resume: None,
-        engine: Engine::default(),
+        engine: None,
         obs: ObsConfig::default(),
         journal: None,
         retries: 0,
@@ -190,7 +189,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.resume = Some(PathBuf::from(it.next().ok_or("--resume needs a file")?));
             }
             "--engine" => {
-                opts.engine = it.next().ok_or("--engine needs polling|event")?.parse()?;
+                opts.engine = Some(it.next().ok_or("--engine needs polling|event")?.parse()?);
             }
             "--trace-out" => {
                 opts.obs.trace_out =
@@ -355,23 +354,24 @@ fn main() -> ExitCode {
                     opts.obs.metrics_out = Some(PathBuf::from("camps.metrics.jsonl"));
                 }
             }
-            if let Some(path) = &opts.resume {
-                let result = match resume_mix(&cfg, path) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("camps: resume failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                return emit(&[result], opts.json);
-            }
-            let Some((mix, scheme)) = mix_scheme else {
-                eprintln!("camps run needs <MIX> <SCHEME>, or --resume <FILE>");
-                return ExitCode::FAILURE;
+            let start = match (opts.resume, mix_scheme) {
+                (Some(path), _) => Start::Resume(path),
+                (None, Some((mix, scheme))) => Start::Fresh {
+                    mix: *mix,
+                    scheme,
+                    len: opts.scale,
+                    seed: opts.seed,
+                },
+                (None, None) => {
+                    eprintln!("camps run needs <MIX> <SCHEME>, or --resume <FILE>");
+                    return ExitCode::FAILURE;
+                }
             };
-            let wants_recovery = opts.max_recoveries > 0 || opts.checkpoint_every.is_some();
-            let result = if wants_recovery {
-                let policy = RecoveryPolicy {
+            let spec = RunSpec {
+                start,
+                engine: opts.engine.unwrap_or_default(),
+                obs: opts.obs.wants_any().then(|| opts.obs.clone()),
+                recovery: RecoveryPolicy {
                     max_recoveries: opts.max_recoveries,
                     checkpoint_every: opts.checkpoint_every,
                     checkpoint_path: opts.checkpoint_every.is_some().then(|| {
@@ -379,55 +379,18 @@ fn main() -> ExitCode {
                             .clone()
                             .unwrap_or_else(|| PathBuf::from("camps.ckpt.json"))
                     }),
-                };
-                let recovered = if opts.obs.wants_any() {
-                    run_mix_recoverable_observed(
-                        &cfg,
-                        mix,
-                        scheme,
-                        &opts.scale,
-                        opts.seed,
-                        &policy,
-                        &opts.obs,
-                    )
-                } else {
-                    run_mix_recoverable(&cfg, mix, scheme, &opts.scale, opts.seed, &policy)
-                };
-                match recovered {
-                    Ok((r, report)) => {
-                        if report.recovered() || report.checkpoints_taken > 0 {
-                            eprint!("{}", report.render());
-                        }
-                        r
+                },
+            };
+            let result = match run(&cfg, &spec) {
+                Ok((r, report)) => {
+                    if report.recovered() || report.checkpoints_taken > 0 {
+                        eprint!("{}", report.render());
                     }
-                    Err(e) => {
-                        eprintln!("camps: run failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                    r
                 }
-            } else if opts.obs.wants_any() {
-                match run_mix_observed(
-                    &cfg,
-                    mix,
-                    scheme,
-                    &opts.scale,
-                    opts.seed,
-                    opts.engine,
-                    &opts.obs,
-                ) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("camps: run failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                match run_mix_with_engine(&cfg, mix, scheme, &opts.scale, opts.seed, opts.engine) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("camps: run failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                Err(e) => {
+                    eprintln!("camps: run failed: {e}");
+                    return ExitCode::FAILURE;
                 }
             };
             if let Some(p) = &opts.obs.trace_out {
@@ -448,6 +411,13 @@ fn main() -> ExitCode {
             };
             cfg.topology.cubes = opts.cubes;
             cfg.topology.kind = opts.topology;
+            if opts.engine.is_some() {
+                eprintln!(
+                    "camps: --engine applies to `camps run`; \
+                     `camps sweep` always runs the event engine"
+                );
+                return ExitCode::FAILURE;
+            }
             if opts.obs.trace_filter.is_some()
                 || opts.obs.metrics_every.is_some()
                 || opts.obs.metrics_out.is_some()

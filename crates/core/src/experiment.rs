@@ -1,22 +1,26 @@
-//! Workload × scheme experiment sweeps.
+//! One way to run a mix: a [`RunSpec`] says where the run starts and
+//! how it is driven, and [`run`] executes it.
 //!
-//! Each (mix, scheme) simulation is single-threaded and deterministic;
-//! sweeps fan the independent runs out over all host cores with rayon.
+//! Every run has the paper's shape (§4.1): build the machine, warm the
+//! caches, then simulate in detail. Each simulation is single-threaded
+//! and deterministic; [`run_sweep`](crate::sweep::run_sweep) fans
+//! independent runs out over the host cores.
 
 use crate::metrics::RunResult;
 use crate::recovery::{
     read_snapshot, restore_run, run_with_recovery, scheme_from_name, RecoveryPolicy, RecoveryReport,
 };
-use crate::system::{Engine, System};
+use crate::system::{Engine, RunState, System};
 use camps_obs::ObsConfig;
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
 use camps_types::error::SimError;
+use camps_types::snapshot::SnapshotManifest;
 use camps_workloads::Mix;
-use rayon::prelude::*;
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// How long to warm up and measure, mirroring the paper's methodology
 /// (§4.1: fast-forward, warm caches, then detailed simulation) at
@@ -75,105 +79,167 @@ impl RunLength {
     }
 }
 
-/// Runs one Table II mix under one scheme.
-///
-/// # Errors
-/// Propagates configuration, setup, integrity, and watchdog errors from
-/// [`System`]; an invalid address mapping surfaces as
-/// [`SimError::Config`].
-pub fn run_mix(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-) -> Result<RunResult, SimError> {
-    run_mix_with_engine(cfg, mix, scheme, len, seed, Engine::default())
+/// Where a run starts.
+#[derive(Debug, Clone)]
+pub enum Start {
+    /// Build `mix` under `scheme` from `seed`, warm up, then simulate
+    /// for `len`.
+    Fresh {
+        /// The Table II mix the cores run.
+        mix: Mix,
+        /// The prefetching scheme every vault runs.
+        scheme: SchemeKind,
+        /// Warmup and detailed-run lengths.
+        len: RunLength,
+        /// Workload seed.
+        seed: u64,
+    },
+    /// Continue the checkpointed run in this snapshot file. The machine
+    /// is rebuilt from the config plus the manifest's mix, scheme and
+    /// seed, and the checkpointed state is overlaid; warmup is skipped,
+    /// since the snapshot holds the warmed machine. The config must
+    /// match the snapshot's config hash.
+    Resume(PathBuf),
 }
 
-/// [`run_mix`] with an explicit stepping [`Engine`] — the two engines
-/// produce bit-identical results; `Engine::Polling` is the slower
-/// reference path kept as an escape hatch and equivalence oracle.
+/// One run: where it starts and how it is driven.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// A fresh mix or a checkpoint to resume.
+    pub start: Start,
+    /// Stepping strategy; both engines give bit-identical results.
+    pub engine: Engine,
+    /// Observability to install. `None` installs no handle;
+    /// `Some(ObsConfig::default())` installs one that collects only the
+    /// stage-latency breakdown.
+    pub obs: Option<ObsConfig>,
+    /// Checkpointing and rollback-and-retry. The default takes no
+    /// checkpoints and lets the first error propagate.
+    pub recovery: RecoveryPolicy,
+}
+
+impl RunSpec {
+    /// A fresh run of `mix` under `scheme`: default engine, no
+    /// observability, no recovery.
+    #[must_use]
+    pub fn fresh(mix: &Mix, scheme: SchemeKind, len: RunLength, seed: u64) -> Self {
+        Self::starting(Start::Fresh {
+            mix: *mix,
+            scheme,
+            len,
+            seed,
+        })
+    }
+
+    /// Resumes the checkpoint at `path`: default engine, no
+    /// observability, no recovery.
+    #[must_use]
+    pub fn resume(path: impl Into<PathBuf>) -> Self {
+        Self::starting(Start::Resume(path.into()))
+    }
+
+    fn starting(start: Start) -> Self {
+        Self {
+            start,
+            engine: Engine::default(),
+            obs: None,
+            recovery: RecoveryPolicy::default(),
+        }
+    }
+}
+
+/// Runs `spec` on a machine built from `cfg` and returns its metrics
+/// plus what the recovery driver did.
+///
+/// Observability exports are written even when the run fails (a trace
+/// of a wedged run is the whole point of tracing), but an export failure
+/// never masks a run error.
 ///
 /// # Errors
-/// As [`run_mix`].
-pub fn run_mix_with_engine(
+/// Configuration, setup, integrity and watchdog errors from [`System`]
+/// (an invalid address mapping surfaces as [`SimError::Config`]);
+/// [`SimError::Snapshot`] for an unreadable, corrupt or mismatched
+/// snapshot and for checkpoint I/O; [`SimError::Io`] when an export path
+/// cannot be written (including when the crate was built without the
+/// `obs` feature). With recovery on, the original error propagates once
+/// the budget is spent.
+pub fn run(cfg: &SystemConfig, spec: &RunSpec) -> Result<(RunResult, RecoveryReport), SimError> {
+    let snapshot;
+    let (mix, scheme, seed, origin) = match &spec.start {
+        Start::Fresh {
+            mix,
+            scheme,
+            len,
+            seed,
+        } => (*mix, *scheme, *seed, Origin::Warmup(len)),
+        Start::Resume(path) => {
+            snapshot = read_snapshot(path)?;
+            let (manifest, state) = &snapshot;
+            let mix = Mix::by_id(&manifest.mix_id).ok_or_else(|| SimError::Snapshot {
+                reason: format!("snapshot names unknown mix `{}`", manifest.mix_id),
+            })?;
+            let scheme = scheme_from_name(&manifest.scheme)?;
+            (
+                *mix,
+                scheme,
+                manifest.seed,
+                Origin::Snapshot(manifest, state),
+            )
+        }
+    };
+    let obs = spec.obs.as_ref();
+    let (mut sys, state) = prepare(cfg, &mix, scheme, seed, spec.engine, obs, origin)?;
+    let outcome = run_with_recovery(&mut sys, state, mix.id, seed, &spec.recovery);
+    let exported = obs.map_or(Ok(()), |obs| export_obs(&sys, obs));
+    let pair = outcome?;
+    exported?;
+    Ok(pair)
+}
+
+/// Where [`prepare`] takes the machine's starting state from.
+pub(crate) enum Origin<'a> {
+    /// Warm the caches, then run for this length.
+    Warmup(&'a RunLength),
+    /// Overlay this verified snapshot.
+    Snapshot(&'a SnapshotManifest, &'a Value),
+}
+
+/// Builds a run's machine — the mix's traces, [`System::new`], the
+/// engine and observability — then restores it from the snapshot or
+/// warms it up. Returns the machine with its run bookkeeping, ready for
+/// the step loop.
+pub(crate) fn prepare(
     cfg: &SystemConfig,
     mix: &Mix,
     scheme: SchemeKind,
-    len: &RunLength,
     seed: u64,
     engine: Engine,
-) -> Result<RunResult, SimError> {
+    obs: Option<&ObsConfig>,
+    origin: Origin<'_>,
+) -> Result<(System, RunState), SimError> {
     let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
+    let mut sys = System::new(cfg, scheme, mix.build_traces(capacity, seed)?)?;
     sys.set_engine(engine);
-    sys.warmup(len.warmup_instructions);
-    sys.run(len.instructions, len.max_cycles, mix.id)
+    if let Some(obs) = obs {
+        sys.enable_obs(obs);
+    }
+    let run = match origin {
+        Origin::Warmup(len) => {
+            sys.warmup(len.warmup_instructions);
+            sys.run_begin(len.instructions, len.max_cycles)
+        }
+        Origin::Snapshot(manifest, state) => {
+            // Placeholder bookkeeping; restore_run overwrites every field.
+            let mut run = sys.run_begin(0, 0);
+            restore_run(&mut sys, &mut run, manifest, state)?;
+            run
+        }
+    };
+    Ok((sys, run))
 }
 
-/// Like [`run_mix`], but driven through the rollback-and-retry recovery
-/// loop: periodic checkpoints per `policy`, rollback on watchdog trips
-/// and integrity violations, and a [`RecoveryReport`] describing what
-/// the driver did.
-///
-/// # Errors
-/// As [`run_mix`], plus [`SimError::Snapshot`] for checkpoint I/O
-/// failures; the original run error propagates when the recovery budget
-/// is exhausted.
-pub fn run_mix_recoverable(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-    policy: &RecoveryPolicy,
-) -> Result<(RunResult, RecoveryReport), SimError> {
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    sys.warmup(len.warmup_instructions);
-    run_with_recovery(
-        &mut sys,
-        len.instructions,
-        len.max_cycles,
-        mix.id,
-        seed,
-        policy,
-    )
-}
-
-/// Resumes a checkpointed run from `path` and drives it to completion.
-///
-/// The machine is rebuilt from `cfg` plus the snapshot manifest's mix,
-/// scheme, and seed, the checkpointed state is overlaid, and the run
-/// continues from the checkpoint cycle. Warmup is skipped — the snapshot
-/// already contains the warmed machine. `cfg` must match the snapshot's
-/// config hash.
-///
-/// # Errors
-/// [`SimError::Snapshot`] for unreadable/corrupt snapshots or a
-/// mismatched config/mix/scheme; then anything the continued run itself
-/// returns.
-pub fn resume_mix(cfg: &SystemConfig, path: &Path) -> Result<RunResult, SimError> {
-    let (manifest, state) = read_snapshot(path)?;
-    let mix = Mix::by_id(&manifest.mix_id).ok_or_else(|| SimError::Snapshot {
-        reason: format!("snapshot names unknown mix `{}`", manifest.mix_id),
-    })?;
-    let scheme = scheme_from_name(&manifest.scheme)?;
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, manifest.seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    // Placeholder run bookkeeping; restore_run overwrites every field.
-    let mut run = sys.run_begin(0, 0);
-    restore_run(&mut sys, &mut run, &manifest, &state)?;
-    while sys.run_step(&mut run)? {}
-    sys.run_finish(&run, mix.id)
-}
-
-/// Writes the installed tracer's outputs (trace JSON, metrics series)
-/// to the paths `obs_cfg` names.
+/// Writes the installed tracer's outputs (trace JSON, metrics series,
+/// folded profile) to the paths `obs_cfg` names.
 fn export_obs(sys: &System, obs_cfg: &ObsConfig) -> Result<(), SimError> {
     let io_err = |path: &Path, e: std::io::Error| SimError::Io {
         path: path.display().to_string(),
@@ -200,105 +266,6 @@ fn export_obs(sys: &System, obs_cfg: &ObsConfig) -> Result<(), SimError> {
     Ok(())
 }
 
-/// [`run_mix_with_engine`] with request-lifecycle tracing and metrics
-/// sampling installed per `obs_cfg`. Trace/metrics files are written
-/// even when the run itself fails (a trace of a wedged run is the whole
-/// point of tracing), but an export failure never masks a run error.
-///
-/// # Errors
-/// As [`run_mix`], plus [`SimError::Io`] when an export path cannot be
-/// written (including when the crate was built without the `obs`
-/// feature — exports then fail with `Unsupported`).
-pub fn run_mix_observed(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-    engine: Engine,
-    obs_cfg: &ObsConfig,
-) -> Result<RunResult, SimError> {
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    sys.set_engine(engine);
-    sys.enable_obs(obs_cfg);
-    sys.warmup(len.warmup_instructions);
-    match sys.run(len.instructions, len.max_cycles, mix.id) {
-        Ok(result) => {
-            export_obs(&sys, obs_cfg)?;
-            Ok(result)
-        }
-        Err(err) => {
-            export_obs(&sys, obs_cfg).ok();
-            Err(err)
-        }
-    }
-}
-
-/// [`run_mix_recoverable`] with observability installed: checkpoints and
-/// rollbacks appear on the trace's recovery track alongside the request
-/// lifecycles.
-///
-/// # Errors
-/// As [`run_mix_recoverable`], plus [`SimError::Io`] on export failure.
-pub fn run_mix_recoverable_observed(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    seed: u64,
-    policy: &RecoveryPolicy,
-    obs_cfg: &ObsConfig,
-) -> Result<(RunResult, RecoveryReport), SimError> {
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    sys.enable_obs(obs_cfg);
-    sys.warmup(len.warmup_instructions);
-    let outcome = run_with_recovery(
-        &mut sys,
-        len.instructions,
-        len.max_cycles,
-        mix.id,
-        seed,
-        policy,
-    );
-    match outcome {
-        Ok(pair) => {
-            export_obs(&sys, obs_cfg)?;
-            Ok(pair)
-        }
-        Err(err) => {
-            export_obs(&sys, obs_cfg).ok();
-            Err(err)
-        }
-    }
-}
-
-/// Runs the full cross product `mixes × schemes` in parallel (rayon).
-/// Results come back grouped by mix, schemes in the given order.
-///
-/// # Errors
-/// Returns the first (job-order) error among the runs. Implemented on
-/// the [`sweep`](crate::sweep) supervisor: every job still runs to
-/// completion under panic isolation before the error is surfaced, so a
-/// single bad job no longer aborts its in-flight siblings mid-run.
-pub fn run_matrix(
-    cfg: &SystemConfig,
-    mixes: &[Mix],
-    schemes: &[SchemeKind],
-    len: &RunLength,
-    seed: u64,
-) -> Result<Vec<RunResult>, SimError> {
-    let policy = crate::sweep::SweepPolicy::default();
-    let mut run = crate::sweep::run_sweep(cfg, mixes, schemes, len, seed, &policy)?;
-    if let Some(err) = run.errors.iter_mut().find_map(Option::take) {
-        return Err(err);
-    }
-    Ok(run.results.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,7 +283,7 @@ mod tests {
             max_cycles: 2_000_000,
         };
         let mix = &ALL_MIXES[0]; // HM1
-        let camps = run_mix(&cfg, mix, SchemeKind::CampsMod, &len, 7).unwrap();
+        let (camps, _) = run(&cfg, &RunSpec::fresh(mix, SchemeKind::CampsMod, len, 7)).unwrap();
         assert!(
             camps.vaults.prefetches.get() > 0,
             "CAMPS-MOD must prefetch on HM1"
@@ -346,15 +313,18 @@ mod tests {
             checkpoint_every: Some(10_000),
             checkpoint_path: Some(path.clone()),
         };
-        let (full, report) =
-            run_mix_recoverable(&cfg, mix, SchemeKind::Camps, &len, 3, &policy).unwrap();
+        let spec = RunSpec {
+            recovery: policy,
+            ..RunSpec::fresh(mix, SchemeKind::Camps, len, 3)
+        };
+        let (full, report) = run(&cfg, &spec).unwrap();
         assert!(
             report.checkpoints_taken > 0,
             "run must leave a checkpoint behind"
         );
         // Rebuild from the last on-disk checkpoint and continue: final
         // stats must be bit-identical to the uninterrupted run.
-        let resumed = resume_mix(&cfg, &path).unwrap();
+        let (resumed, _) = run(&cfg, &RunSpec::resume(&path)).unwrap();
         assert_eq!(full.ipc, resumed.ipc);
         assert_eq!(full.cycles, resumed.cycles);
         assert_eq!(full.vaults, resumed.vaults);
@@ -378,102 +348,18 @@ mod tests {
             checkpoint_every: Some(5_000),
             checkpoint_path: Some(path.clone()),
         };
-        run_mix_recoverable(&cfg, &ALL_MIXES[0], SchemeKind::Nopf, &len, 1, &policy).unwrap();
+        let spec = RunSpec {
+            recovery: policy,
+            ..RunSpec::fresh(&ALL_MIXES[0], SchemeKind::Nopf, len, 1)
+        };
+        run(&cfg, &spec).unwrap();
         let mut drifted = cfg.clone();
         drifted.prefetch.entries *= 2;
-        let err = resume_mix(&drifted, &path).unwrap_err();
+        let err = run(&drifted, &RunSpec::resume(&path)).unwrap_err();
         assert!(
             matches!(&err, SimError::Snapshot { reason } if reason.contains("configuration")),
             "got {err}"
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn matrix_preserves_order_and_count() {
-        let mut cfg = SystemConfig::paper_default();
-        cfg.cpu.cores = 8;
-        let len = RunLength {
-            warmup_instructions: 2_000,
-            instructions: 2_000,
-            max_cycles: 500_000,
-        };
-        let mixes = [ALL_MIXES[0], ALL_MIXES[4]];
-        let schemes = [SchemeKind::Nopf, SchemeKind::Base];
-        let results = run_matrix(&cfg, &mixes, &schemes, &len, 1).unwrap();
-        assert_eq!(results.len(), 4);
-        assert_eq!(results[0].mix_id, "HM1");
-        assert_eq!(results[0].scheme, SchemeKind::Nopf);
-        assert_eq!(results[1].scheme, SchemeKind::Base);
-        assert_eq!(results[2].mix_id, "LM1");
-    }
-}
-
-/// Mean ± population standard deviation of a scheme's per-seed geomean
-/// IPCs — the replication summary returned by [`run_replicated`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Replicated {
-    /// Mean geomean-IPC across seeds.
-    pub mean: f64,
-    /// Population standard deviation across seeds.
-    pub stddev: f64,
-    /// Seeds used.
-    pub seeds: u32,
-}
-
-/// Runs `(mix, scheme)` under `seeds` different workload seeds (in
-/// parallel) and summarizes the geomean IPC — use this to put error bars
-/// on any figure cell.
-///
-/// # Errors
-/// Returns the first failing seed's error; completed seeds are
-/// discarded when any fails.
-pub fn run_replicated(
-    cfg: &SystemConfig,
-    mix: &Mix,
-    scheme: SchemeKind,
-    len: &RunLength,
-    base_seed: u64,
-    seeds: u32,
-) -> Result<Replicated, SimError> {
-    use camps_stats::Running;
-    let ipcs: Vec<f64> = (0..u64::from(seeds.max(1)))
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|i| {
-            Ok(run_mix(cfg, mix, scheme, len, base_seed.wrapping_add(i * 0x9E37))?.geomean_ipc())
-        })
-        .collect::<Result<_, SimError>>()?;
-    let mut acc = Running::new();
-    for v in &ipcs {
-        acc.record(*v);
-    }
-    Ok(Replicated {
-        mean: acc.mean().unwrap_or(0.0),
-        stddev: acc.stddev().unwrap_or(0.0),
-        seeds: seeds.max(1),
-    })
-}
-
-#[cfg(test)]
-mod replication_tests {
-    use super::*;
-    use camps_workloads::ALL_MIXES;
-
-    #[test]
-    fn replication_reports_spread() {
-        let cfg = SystemConfig::paper_default();
-        let len = RunLength {
-            warmup_instructions: 3_000,
-            instructions: 3_000,
-            max_cycles: 1_000_000,
-        };
-        let r = run_replicated(&cfg, &ALL_MIXES[8], SchemeKind::Nopf, &len, 7, 3).unwrap();
-        assert_eq!(r.seeds, 3);
-        assert!(r.mean > 0.0);
-        assert!(r.stddev >= 0.0);
-        // Different seeds genuinely differ, so spread is nonzero but far
-        // smaller than the mean.
-        assert!(r.stddev < r.mean, "stddev {} vs mean {}", r.stddev, r.mean);
     }
 }

@@ -2,7 +2,7 @@
 //! depend on.
 //!
 //! ```no_run
-//! use camps::experiment::{run_mix, RunLength};
+//! use camps::experiment::{run, RunLength, RunSpec};
 //! use camps_prefetch::SchemeKind;
 //! use camps_types::{SimError, SystemConfig};
 //! use camps_workloads::Mix;
@@ -10,7 +10,8 @@
 //! fn main() -> Result<(), SimError> {
 //!     let cfg = SystemConfig::paper_default();
 //!     let mix = Mix::by_id("HM1").unwrap();
-//!     let result = run_mix(&cfg, mix, SchemeKind::CampsMod, &RunLength::quick(), 42)?;
+//!     let spec = RunSpec::fresh(mix, SchemeKind::CampsMod, RunLength::quick(), 42);
+//!     let (result, _) = run(&cfg, &spec)?;
 //!     println!("{}: geomean IPC {:.3}", mix.id, result.geomean_ipc());
 //!     Ok(())
 //! }
@@ -20,8 +21,8 @@
 //! * [`system`] — cores + caches + cube wired together; the cycle loop,
 //! * [`audit`] — request-lifetime conservation checking,
 //! * [`metrics`] — per-run results ([`metrics::RunResult`]),
-//! * [`experiment`] — workload × scheme sweeps (rayon-parallel) and the
-//!   figure-level aggregations used to regenerate the paper's plots,
+//! * [`experiment`] — one [`RunSpec`] and one [`run`] for every run of a
+//!   mix: fresh or resumed, either engine, observed, recoverable,
 //! * [`recovery`] — checkpoint/restore of a mid-flight run plus the
 //!   rollback-and-retry driver that survives injected faults,
 //! * [`sweep`] — the resilient parallel sweep supervisor: fault-isolated
@@ -43,10 +44,7 @@ pub mod system;
 pub mod topology;
 
 pub use audit::RequestAuditor;
-pub use experiment::{
-    resume_mix, run_matrix, run_mix, run_mix_recoverable, run_mix_with_engine, run_replicated,
-    Replicated, RunLength,
-};
+pub use experiment::{run, RunLength, RunSpec, Start};
 pub use hmc::HmcDevice;
 pub use metrics::{fairness, Fairness, RunResult};
 pub use recovery::{

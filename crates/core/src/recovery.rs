@@ -22,6 +22,7 @@
 
 use crate::metrics::RunResult;
 use crate::system::{RunState, System};
+use camps_obs::Comp;
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
@@ -292,19 +293,21 @@ fn recoverable(err: &SimError) -> bool {
     matches!(err, SimError::Watchdog(_) | SimError::Integrity(_))
 }
 
-/// Runs `sys` to completion with periodic checkpoints and
-/// rollback-and-retry recovery (see the module docs).
+/// Drives the run `run` (from [`System::run_begin`] or a restored
+/// snapshot) to completion with periodic checkpoints and
+/// rollback-and-retry recovery (see the module docs), inside the
+/// profiler's `run_loop` span.
 ///
 /// With `policy.max_recoveries == 0` this behaves exactly like
-/// [`System::run`]: the first error propagates unchanged.
+/// [`System::run`]: no in-memory snapshots are kept, and the first error
+/// propagates unchanged.
 ///
 /// # Errors
 /// The original (first-un-retried or non-recoverable) [`SimError`]; disk
 /// checkpoint failures surface as [`SimError::Snapshot`].
 pub fn run_with_recovery(
     sys: &mut System,
-    instructions: u64,
-    max_cycles: Cycle,
+    mut run: RunState,
     mix_id: &str,
     seed: u64,
     policy: &RecoveryPolicy,
@@ -312,15 +315,16 @@ pub fn run_with_recovery(
     let interval = policy
         .checkpoint_every
         .or(sys.config().integrity.checkpoint_every);
-    let mut run = sys.run_begin(instructions, max_cycles);
-    let baseline = (sys.now(), sys.save_state(), run.save_state());
+    let recovering = policy.max_recoveries > 0;
+    let baseline = recovering.then(|| (sys.now(), sys.save_state(), run.save_state()));
     // The most recent periodic checkpoint; `None` once consumed by a
     // rollback (the escalation rule in the module docs).
     let mut last_good: Option<(Cycle, Value, Value)> = None;
     let mut next_checkpoint = interval.map(|i| sys.now() + i);
     let mut report = RecoveryReport::default();
     let mut attempts = 0u32;
-    loop {
+    sys.profiler_mut().enter(Comp::RunLoop);
+    let mut drive = || loop {
         match sys.run_step(&mut run) {
             Ok(true) => {
                 let Some(at) = next_checkpoint else { continue };
@@ -330,21 +334,23 @@ pub fn run_with_recovery(
                 if let Some(path) = &policy.checkpoint_path {
                     write_snapshot(path, sys, &run, mix_id, seed)?;
                 }
-                last_good = Some((sys.now(), sys.save_state(), run.save_state()));
+                if recovering {
+                    last_good = Some((sys.now(), sys.save_state(), run.save_state()));
+                }
                 sys.obs().mark("checkpoint", sys.now());
                 report.checkpoints_taken += 1;
                 next_checkpoint = Some(
                     sys.now() + interval.expect("invariant: next_checkpoint implies interval"),
                 );
             }
-            Ok(false) => break,
+            Ok(false) => return Ok(()),
             Err(err) if attempts < policy.max_recoveries && recoverable(&err) => {
                 attempts += 1;
                 let failed_at = sys.now();
-                let (from_cycle, sys_state, run_state) = match last_good.take() {
-                    Some(cp) => cp,
-                    None => baseline.clone(),
-                };
+                let (from_cycle, sys_state, run_state) = last_good
+                    .take()
+                    .or_else(|| baseline.clone())
+                    .expect("invariant: recovery keeps a baseline");
                 sys.restore_state(&sys_state)?;
                 run.restore_state(&run_state)?;
                 // A fault plan that already tripped the run once would
@@ -363,7 +369,10 @@ pub fn run_with_recovery(
             }
             Err(err) => return Err(err),
         }
-    }
+    };
+    let looped = drive();
+    sys.profiler_mut().exit(Comp::RunLoop);
+    looped?;
     let result = sys.run_finish(&run, mix_id)?;
     Ok((result, report))
 }
@@ -405,8 +414,8 @@ mod tests {
             checkpoint_every: Some(2_000),
             checkpoint_path: None,
         };
-        let (result, report) =
-            run_with_recovery(&mut sys, 20_000, 2_000_000, "recover", 0, &policy).unwrap();
+        let run = sys.run_begin(20_000, 2_000_000);
+        let (result, report) = run_with_recovery(&mut sys, run, "recover", 0, &policy).unwrap();
         assert!(report.recovered(), "the stall must force a rollback");
         assert_eq!(report.events[0].attempt, 1);
         assert!(report.events[0].error.contains("progress"), "{report:?}");
@@ -427,7 +436,8 @@ mod tests {
         let cfg = stalled_cfg();
         let mut sys = System::new(&cfg, SchemeKind::Nopf, traces(&cfg)).unwrap();
         let policy = RecoveryPolicy::default(); // max_recoveries = 0
-        let err = run_with_recovery(&mut sys, 20_000, 2_000_000, "norec", 0, &policy).unwrap_err();
+        let run = sys.run_begin(20_000, 2_000_000);
+        let err = run_with_recovery(&mut sys, run, "norec", 0, &policy).unwrap_err();
         assert!(matches!(err, SimError::Watchdog(_)), "got {err}");
     }
 
@@ -450,8 +460,8 @@ mod tests {
             checkpoint_every: None, // only the baseline exists
             checkpoint_path: None,
         };
-        let (result, report) =
-            run_with_recovery(&mut sys, 10_000, 1_000_000, "clean", 0, &policy).unwrap();
+        let run = sys.run_begin(10_000, 1_000_000);
+        let (result, report) = run_with_recovery(&mut sys, run, "clean", 0, &policy).unwrap();
         assert!(report.recovered());
         assert_eq!(result.ipc, expected.ipc);
         assert_eq!(result.cycles, expected.cycles);
@@ -469,8 +479,8 @@ mod tests {
             checkpoint_every: None,
             checkpoint_path: None,
         };
-        let (_, report) =
-            run_with_recovery(&mut sys, 10_000, 1_000_000, "dup", 0, &policy).unwrap();
+        let run = sys.run_begin(10_000, 1_000_000);
+        let (_, report) = run_with_recovery(&mut sys, run, "dup", 0, &policy).unwrap();
         assert!(report.recovered());
         assert!(
             report.events[0].error.contains("twice"),

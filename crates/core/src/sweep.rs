@@ -2,8 +2,7 @@
 //!
 //! Runs a workload-mix × scheme job matrix concurrently on real worker
 //! threads (the vendored rayon pool) with production-grade failure
-//! handling, in place of [`run_matrix`]'s original all-or-nothing
-//! semantics:
+//! handling instead of all-or-nothing semantics:
 //!
 //! * **Fault isolation** — each job runs under `catch_unwind`; a panic
 //!   becomes a typed [`SimError::Panic`] in that job's record instead of
@@ -33,13 +32,11 @@
 //! and checkpoint restore is bit-identical — so a sweep's merged results
 //! are byte-for-byte the same whether it ran on 1 thread or 16, straight
 //! through or killed and resumed.
-//!
-//! [`run_matrix`]: crate::experiment::run_matrix
 
-use crate::experiment::RunLength;
+use crate::experiment::{prepare, Origin, RunLength};
 use crate::metrics::RunResult;
-use crate::recovery::{config_hash, read_snapshot, restore_run, write_snapshot};
-use crate::system::System;
+use crate::recovery::{config_hash, read_snapshot, write_snapshot};
+use crate::system::Engine;
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
@@ -602,34 +599,25 @@ fn run_attempt(
         _ => None,
     };
 
-    let capacity = cfg.cube_map()?.capacity_bytes();
-    let traces = mix.build_traces(capacity, seed)?;
-    let mut sys = System::new(cfg, scheme, traces)?;
-    let mut run = None;
-    if let Some(path) = ckpt.filter(|p| p.exists() && !cfg_mutated) {
-        // A checkpoint from an earlier attempt (or a killed sweep):
-        // resume from it when it verifies, fall back to a fresh start
-        // (and drop the bad file) when it does not.
-        match read_snapshot(path).and_then(|(manifest, state)| {
-            let mut restored = sys.run_begin(0, 0);
-            restore_run(&mut sys, &mut restored, &manifest, &state)?;
-            Ok(restored)
-        }) {
-            Ok(restored) => {
-                run = Some(restored);
-                *resumed = true;
-            }
-            Err(_) => {
+    let build =
+        |origin: Origin<'_>| prepare(cfg, mix, scheme, seed, Engine::default(), None, origin);
+    // A checkpoint from an earlier attempt (or a killed sweep): resume
+    // from it when it verifies, fall back to a fresh start (and drop the
+    // bad file) when it does not.
+    let restored = ckpt
+        .filter(|p| p.exists() && !cfg_mutated)
+        .and_then(|path| {
+            let restored = read_snapshot(path)
+                .and_then(|(manifest, state)| build(Origin::Snapshot(&manifest, &state)));
+            if restored.is_err() {
                 std::fs::remove_file(path).ok();
             }
-        }
-    }
-    let mut run = match run {
-        Some(r) => r,
-        None => {
-            sys.warmup(len.warmup_instructions);
-            sys.run_begin(len.instructions, len.max_cycles)
-        }
+            restored.ok()
+        });
+    *resumed = restored.is_some();
+    let (mut sys, mut run) = match restored {
+        Some(machine) => machine,
+        None => build(Origin::Warmup(len))?,
     };
 
     let mut next_ckpt = checkpoint_every.map(|i| sys.now() + i);
@@ -978,6 +966,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::RunSpec;
     use camps_workloads::ALL_MIXES;
 
     fn tiny() -> RunLength {
@@ -988,7 +977,8 @@ mod tests {
     fn job_key_round_trips_through_the_journal_line() {
         let cfg = SystemConfig::paper_default();
         let mix = &ALL_MIXES[0];
-        let result = crate::experiment::run_mix(&cfg, mix, SchemeKind::Nopf, &tiny(), 1).unwrap();
+        let spec = RunSpec::fresh(mix, SchemeKind::Nopf, tiny(), 1);
+        let (result, _) = crate::experiment::run(&cfg, &spec).unwrap();
         let key = JobKey::new(
             config_hash(&cfg).unwrap(),
             mix,
@@ -1049,7 +1039,8 @@ mod tests {
     fn torn_and_corrupt_lines_are_rejected() {
         let cfg = SystemConfig::paper_default();
         let mix = &ALL_MIXES[0];
-        let result = crate::experiment::run_mix(&cfg, mix, SchemeKind::Nopf, &tiny(), 1).unwrap();
+        let spec = RunSpec::fresh(mix, SchemeKind::Nopf, tiny(), 1);
+        let (result, _) = crate::experiment::run(&cfg, &spec).unwrap();
         let key = JobKey::new(
             config_hash(&cfg).unwrap(),
             mix,
@@ -1077,5 +1068,25 @@ mod tests {
         assert!(plan.fault_for(2, 1).is_none(), "retry runs clean");
         assert!(plan.fault_for(4, 31).is_some(), "always-faulted job");
         assert!(plan.fault_for(0, 0).is_none());
+    }
+
+    #[test]
+    fn matrix_preserves_order_and_count() {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.cpu.cores = 8;
+        let len = RunLength {
+            warmup_instructions: 2_000,
+            instructions: 2_000,
+            max_cycles: 500_000,
+        };
+        let mixes = [ALL_MIXES[0], ALL_MIXES[4]];
+        let schemes = [SchemeKind::Nopf, SchemeKind::Base];
+        let sweep = run_sweep(&cfg, &mixes, &schemes, &len, 1, &SweepPolicy::default()).unwrap();
+        let results: Vec<RunResult> = sweep.results.into_iter().flatten().collect();
+        assert_eq!(results.len(), 4);
+        assert_eq!(results[0].mix_id, "HM1");
+        assert_eq!(results[0].scheme, SchemeKind::Nopf);
+        assert_eq!(results[1].scheme, SchemeKind::Base);
+        assert_eq!(results[2].mix_id, "LM1");
     }
 }

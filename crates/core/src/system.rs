@@ -807,6 +807,12 @@ impl System {
         &self.prof
     }
 
+    /// The self-profiler, for drivers that open the `run_loop` span
+    /// around their own step loop.
+    pub(crate) fn profiler_mut(&mut self) -> &mut Profiler {
+        &mut self.prof
+    }
+
     /// The installed observability handle (disabled by default).
     #[must_use]
     pub fn obs(&self) -> &TraceHandle {

@@ -1,10 +1,11 @@
 //! Typed simulation errors: configuration, trace format, I/O, integrity
 //! violations, and watchdog aborts.
 //!
-//! Every fallible library path reachable from `run_mix` reports failures
-//! through [`SimError`] instead of panicking, so callers (the `camps`
-//! CLI, benches, library users) can degrade gracefully on bad inputs and
-//! fail loudly — with a diagnostic, not a backtrace — on model bugs.
+//! Every fallible library path reachable from `camps::experiment::run`
+//! reports failures through [`SimError`] instead of panicking, so callers
+//! (the `camps` CLI, benches, library users) can degrade gracefully on
+//! bad inputs and fail loudly — with a diagnostic, not a backtrace — on
+//! model bugs.
 
 use crate::clock::Cycle;
 use crate::request::RequestId;

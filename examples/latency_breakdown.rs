@@ -12,8 +12,6 @@
 //! cargo run --release --example latency_breakdown [MIX]
 //! ```
 
-use camps::experiment::run_mix_observed;
-use camps::system::Engine;
 use camps_obs::{ObsConfig, TraceHandle};
 use camps_sim::prelude::*;
 use rayon::prelude::*;
@@ -29,9 +27,6 @@ fn main() {
         std::process::exit(1);
     });
     let cfg = SystemConfig::paper_default();
-    // A breakdown is collected whenever a handle is installed; no trace
-    // file or metrics series is needed for this table.
-    let obs_cfg = ObsConfig::default();
 
     println!(
         "decomposing {} under {} schemes …",
@@ -41,16 +36,13 @@ fn main() {
     let results: Vec<RunResult> = SchemeKind::PAPER
         .par_iter()
         .map(|&s| {
-            run_mix_observed(
-                &cfg,
-                mix,
-                s,
-                &RunLength::quick(),
-                7,
-                Engine::Event,
-                &obs_cfg,
-            )
-            .expect("quick run")
+            // A breakdown is collected whenever a handle is installed; no
+            // trace file or metrics series is needed for this table.
+            let spec = RunSpec {
+                obs: Some(ObsConfig::default()),
+                ..RunSpec::fresh(mix, s, RunLength::quick(), 7)
+            };
+            run(&cfg, &spec).expect("quick run").0
         })
         .collect();
 

@@ -34,7 +34,8 @@ fn main() {
     });
 
     println!("simulating {mix_id} {:?} under {scheme} …", mix.benchmarks);
-    let result = run_mix(&cfg, mix, scheme, &RunLength::quick(), 42).unwrap_or_else(|e| {
+    let spec = RunSpec::fresh(mix, scheme, RunLength::quick(), 42);
+    let (result, _) = run(&cfg, &spec).unwrap_or_else(|e| {
         eprintln!("simulation failed: {e}");
         std::process::exit(1);
     });

@@ -28,7 +28,10 @@ fn main() {
     println!("running {} under {} schemes …", mix.id, schemes.len());
     let results: Vec<RunResult> = schemes
         .par_iter()
-        .map(|&s| run_mix(&cfg, mix, s, &RunLength::quick(), 7).expect("quick run"))
+        .map(|&s| {
+            let spec = RunSpec::fresh(mix, s, RunLength::quick(), 7);
+            run(&cfg, &spec).expect("quick run").0
+        })
         .collect();
 
     let base_perf = results

@@ -8,7 +8,7 @@
 //!
 //! This crate re-exports the workspace's public API; depend on it to get
 //! everything, or on the individual `camps-*` crates for narrower
-//! dependencies. Start with [`camps::experiment::run_mix`] and the
+//! dependencies. Start with [`camps::experiment::run`] and the
 //! `examples/` directory.
 //!
 //! ```no_run
@@ -17,7 +17,8 @@
 //! fn main() -> Result<(), SimError> {
 //!     let cfg = SystemConfig::paper_default();
 //!     let mix = Mix::by_id("HM1").unwrap();
-//!     let result = run_mix(&cfg, mix, SchemeKind::CampsMod, &RunLength::quick(), 42)?;
+//!     let spec = RunSpec::fresh(mix, SchemeKind::CampsMod, RunLength::quick(), 42);
+//!     let (result, _) = run(&cfg, &spec)?;
 //!     println!("geomean IPC: {:.3}", result.geomean_ipc());
 //!     Ok(())
 //! }
@@ -39,7 +40,7 @@ pub use camps_workloads;
 
 /// The names most programs need, in one import.
 pub mod prelude {
-    pub use camps::experiment::{run_matrix, run_mix, run_replicated, Replicated, RunLength};
+    pub use camps::experiment::{run, RunLength, RunSpec};
     pub use camps::metrics::{average_speedup, speedup_table, RunResult};
     pub use camps::system::System;
     pub use camps_prefetch::SchemeKind;

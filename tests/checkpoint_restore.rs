@@ -7,7 +7,6 @@
 //! completes via rollback when recovery is enabled, and propagates the
 //! original typed error when it is not.
 
-use camps::experiment::{resume_mix, run_mix_recoverable};
 use camps::recovery::{read_snapshot, snapshot_to_string, RecoveryPolicy, SNAPSHOT_FORMAT_VERSION};
 use camps::system::Engine;
 use camps::System;
@@ -40,15 +39,18 @@ fn snapshot_restore_is_deterministic_for_every_paper_scheme() {
             checkpoint_every: Some(8_000),
             checkpoint_path: Some(path.clone()),
         };
-        let (full, report) =
-            run_mix_recoverable(&cfg, mix, scheme, &tiny(), 0xFEED, &policy).expect("clean run");
+        let spec = RunSpec {
+            recovery: policy,
+            ..RunSpec::fresh(mix, scheme, tiny(), 0xFEED)
+        };
+        let (full, report) = run(&cfg, &spec).expect("clean run");
         assert!(
             report.checkpoints_taken > 0,
             "{scheme:?}: run finished without leaving a checkpoint"
         );
         // Fresh machine, rebuilt from config + manifest, state overlaid
         // from the file, run to completion.
-        let resumed = resume_mix(&cfg, &path).expect("resume");
+        let (resumed, _) = run(&cfg, &RunSpec::resume(&path)).expect("resume");
         assert_eq!(full.ipc, resumed.ipc, "{scheme:?}: per-core IPC drifted");
         assert_eq!(
             full.cycles, resumed.cycles,
@@ -75,9 +77,11 @@ fn watchdog_trip_with_recovery_enabled_completes_via_rollback() {
         checkpoint_every: Some(10_000),
         checkpoint_path: None,
     };
-    let (result, report) =
-        run_mix_recoverable(&cfg, mix, SchemeKind::CampsMod, &tiny(), 0xFEED, &policy)
-            .expect("recovery must complete the run");
+    let spec = RunSpec {
+        recovery: policy,
+        ..RunSpec::fresh(mix, SchemeKind::CampsMod, tiny(), 0xFEED)
+    };
+    let (result, report) = run(&cfg, &spec).expect("recovery must complete the run");
     assert!(report.recovered(), "the stall must force a rollback");
     assert_eq!(report.events[0].attempt, 1);
     assert!(
@@ -100,8 +104,11 @@ fn watchdog_trip_with_zero_budget_propagates_the_typed_error() {
         checkpoint_every: Some(10_000),
         checkpoint_path: None,
     };
-    let err = run_mix_recoverable(&cfg, mix, SchemeKind::CampsMod, &tiny(), 0xFEED, &policy)
-        .expect_err("no budget: the wedge must propagate");
+    let spec = RunSpec {
+        recovery: policy,
+        ..RunSpec::fresh(mix, SchemeKind::CampsMod, tiny(), 0xFEED)
+    };
+    let err = run(&cfg, &spec).expect_err("no budget: the wedge must propagate");
     assert!(
         matches!(err, SimError::Watchdog(_)),
         "the original typed error must survive, got {err}"
@@ -279,7 +286,7 @@ fn committed_fixture_restores_and_completes() {
     assert_eq!(manifest.format, SNAPSHOT_FORMAT_VERSION);
     assert_eq!(manifest.mix_id, FIXTURE_MIX);
     assert_eq!(manifest.seed, FIXTURE_SEED);
-    let result = resume_mix(&fixture_cfg(), &path).expect("fixture must resume");
+    let (result, _) = run(&fixture_cfg(), &RunSpec::resume(&path)).expect("fixture must resume");
     assert_eq!(result.mix_id, FIXTURE_MIX);
     assert_eq!(result.ipc.len(), 8);
     assert!(

@@ -16,7 +16,9 @@ fn tiny() -> RunLength {
 fn run(mix_id: &str, scheme: SchemeKind) -> RunResult {
     let cfg = SystemConfig::paper_default();
     let mix = Mix::by_id(mix_id).expect("known mix");
-    run_mix(&cfg, mix, scheme, &tiny(), 0xFEED).expect("clean run")
+    camps::experiment::run(&cfg, &RunSpec::fresh(mix, scheme, tiny(), 0xFEED))
+        .expect("clean run")
+        .0
 }
 
 #[test]
@@ -119,8 +121,12 @@ fn runs_are_deterministic() {
 fn different_seeds_change_outcomes() {
     let cfg = SystemConfig::paper_default();
     let mix = Mix::by_id("LM3").unwrap();
-    let a = run_mix(&cfg, mix, SchemeKind::Nopf, &tiny(), 1).unwrap();
-    let b = run_mix(&cfg, mix, SchemeKind::Nopf, &tiny(), 2).unwrap();
+    let a = camps::experiment::run(&cfg, &RunSpec::fresh(mix, SchemeKind::Nopf, tiny(), 1))
+        .unwrap()
+        .0;
+    let b = camps::experiment::run(&cfg, &RunSpec::fresh(mix, SchemeKind::Nopf, tiny(), 2))
+        .unwrap()
+        .0;
     assert_ne!(a.cycles, b.cycles, "seeded workloads must differ");
 }
 
@@ -183,8 +189,12 @@ fn every_paper_scheme_is_bit_for_bit_reproducible() {
         SchemeKind::Camps,
         SchemeKind::CampsMod,
     ] {
-        let a = run_mix(&cfg, mix, scheme, &len, 0xD0D0).unwrap();
-        let b = run_mix(&cfg, mix, scheme, &len, 0xD0D0).unwrap();
+        let a = camps::experiment::run(&cfg, &RunSpec::fresh(mix, scheme, len, 0xD0D0))
+            .unwrap()
+            .0;
+        let b = camps::experiment::run(&cfg, &RunSpec::fresh(mix, scheme, len, 0xD0D0))
+            .unwrap()
+            .0;
         assert_eq!(a.ipc, b.ipc, "{scheme}: IPC diverged");
         assert_eq!(a.cycles, b.cycles, "{scheme}: cycle count diverged");
         assert_eq!(a.vaults, b.vaults, "{scheme}: vault stats diverged");
@@ -236,7 +246,10 @@ fn stalled_vault_fault_trips_the_watchdog_end_to_end() {
     cfg.faults.stall_vault_from = 1;
     cfg.integrity.watchdog_cycles = 20_000;
     let mix = Mix::by_id("HM1").expect("known mix");
-    let Err(err) = run_mix(&cfg, mix, SchemeKind::CampsMod, &tiny(), 0xFEED) else {
+    let Err(err) = camps::experiment::run(
+        &cfg,
+        &RunSpec::fresh(mix, SchemeKind::CampsMod, tiny(), 0xFEED),
+    ) else {
         panic!("a dead vault must wedge the run");
     };
     let SimError::Watchdog(report) = err else {
@@ -254,7 +267,10 @@ fn duplicate_response_fault_is_caught_by_the_auditor() {
     cfg.integrity.audit = true;
     cfg.faults.duplicate_response_every = 100;
     let mix = Mix::by_id("HM1").expect("known mix");
-    let Err(err) = run_mix(&cfg, mix, SchemeKind::CampsMod, &tiny(), 0xFEED) else {
+    let Err(err) = camps::experiment::run(
+        &cfg,
+        &RunSpec::fresh(mix, SchemeKind::CampsMod, tiny(), 0xFEED),
+    ) else {
         panic!("duplicated responses must fail the run");
     };
     assert!(
@@ -277,7 +293,10 @@ fn dropped_request_fault_is_detected() {
     cfg.integrity.watchdog_cycles = 50_000;
     cfg.faults.drop_request_every = 50;
     let mix = Mix::by_id("HM1").expect("known mix");
-    let Err(err) = run_mix(&cfg, mix, SchemeKind::CampsMod, &tiny(), 0xFEED) else {
+    let Err(err) = camps::experiment::run(
+        &cfg,
+        &RunSpec::fresh(mix, SchemeKind::CampsMod, tiny(), 0xFEED),
+    ) else {
         panic!("dropped packets must not yield a clean result");
     };
     assert!(

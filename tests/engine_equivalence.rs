@@ -12,7 +12,7 @@
 //! wake matters most: deep double-sided hammer queues on a few vaults,
 //! and a stalled vault that is released mid-run.
 
-use camps::experiment::{run_mix_with_engine, RunLength};
+use camps::experiment::{run, RunLength, RunSpec};
 use camps::system::Engine;
 use camps::System;
 use camps_cpu::trace::TraceSource;
@@ -41,10 +41,23 @@ fn every_paper_scheme_is_bit_identical_across_engines() {
     for mix_id in ["HM1", "LM1"] {
         let mix = Mix::by_id(mix_id).unwrap();
         for scheme in SchemeKind::PAPER {
-            let polled =
-                run_mix_with_engine(&cfg, mix, scheme, &mini(), 11, Engine::Polling).unwrap();
-            let evented =
-                run_mix_with_engine(&cfg, mix, scheme, &mini(), 11, Engine::Event).unwrap();
+            let spec = RunSpec::fresh(mix, scheme, mini(), 11);
+            let (polled, _) = run(
+                &cfg,
+                &RunSpec {
+                    engine: Engine::Polling,
+                    ..spec.clone()
+                },
+            )
+            .unwrap();
+            let (evented, _) = run(
+                &cfg,
+                &RunSpec {
+                    engine: Engine::Event,
+                    ..spec
+                },
+            )
+            .unwrap();
             assert_eq!(
                 canonical(&polled),
                 canonical(&evented),

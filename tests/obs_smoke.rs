@@ -6,7 +6,7 @@
 //! and on a merge-free read workload the per-stage latency breakdown
 //! must reconcile with the run's `amat_mem` within 1%.
 
-use camps::experiment::{run_mix_observed, run_mix_recoverable_observed, run_mix_with_engine};
+use camps::experiment::{run, RunSpec};
 use camps::recovery::RecoveryPolicy;
 use camps::system::Engine;
 use camps_cpu::trace::{TraceOp, TraceSource, VecTrace};
@@ -85,16 +85,12 @@ fn traced_recovery_run_exports_all_span_kinds() {
         trace_out: Some(trace_path.clone()),
         ..ObsConfig::default()
     };
-    let (result, report) = run_mix_recoverable_observed(
-        &cfg,
-        mix,
-        SchemeKind::CampsMod,
-        &tiny(),
-        0xFEED,
-        &policy,
-        &obs_cfg,
-    )
-    .expect("recovery must complete the run");
+    let spec = RunSpec {
+        obs: Some(obs_cfg),
+        recovery: policy,
+        ..RunSpec::fresh(mix, SchemeKind::CampsMod, tiny(), 0xFEED)
+    };
+    let (result, report) = run(&cfg, &spec).expect("recovery must complete the run");
     assert!(report.recovered(), "the stall must force a rollback");
 
     let names = read_trace_names(&trace_path);
@@ -151,16 +147,12 @@ fn metrics_series_is_well_formed_and_monotonic() {
         ..ObsConfig::default()
     };
     let cfg = SystemConfig::paper_default();
-    run_mix_observed(
-        &cfg,
-        mix,
-        SchemeKind::Camps,
-        &tiny(),
-        7,
-        Engine::Event,
-        &obs_cfg,
-    )
-    .expect("observed run");
+    let spec = RunSpec {
+        engine: Engine::Event,
+        obs: Some(obs_cfg),
+        ..RunSpec::fresh(mix, SchemeKind::Camps, tiny(), 7)
+    };
+    run(&cfg, &spec).expect("observed run");
 
     let text = std::fs::read_to_string(&metrics_path).expect("metrics file exists");
     let mut rows = 0u64;
@@ -246,8 +238,11 @@ fn stage_breakdown_reconciles_with_amat_on_merge_free_reads() {
 fn profiler_attributes_wall_time_without_perturbing_the_run() {
     let cfg = SystemConfig::paper_default();
     let mix = Mix::by_id("HM1").expect("known mix");
-    let plain = run_mix_with_engine(&cfg, mix, SchemeKind::Camps, &tiny(), 21, Engine::Event)
-        .expect("plain run");
+    let plain_spec = RunSpec {
+        engine: Engine::Event,
+        ..RunSpec::fresh(mix, SchemeKind::Camps, tiny(), 21)
+    };
+    let (plain, _) = run(&cfg, &plain_spec).expect("plain run");
     assert!(
         plain.profile.is_none(),
         "profile must be absent unless requested"
@@ -259,16 +254,11 @@ fn profiler_attributes_wall_time_without_perturbing_the_run() {
         profile_out: Some(folded_path.clone()),
         ..ObsConfig::default()
     };
-    let mut profiled = run_mix_observed(
-        &cfg,
-        mix,
-        SchemeKind::Camps,
-        &tiny(),
-        21,
-        Engine::Event,
-        &obs_cfg,
-    )
-    .expect("profiled run");
+    let spec = RunSpec {
+        obs: Some(obs_cfg),
+        ..plain_spec
+    };
+    let (mut profiled, _) = run(&cfg, &spec).expect("profiled run");
 
     // Strip the host-timing payloads (wall-clock, so nondeterministic
     // by design) and demand bit-identity on everything simulated.
@@ -337,6 +327,50 @@ fn profiler_attributes_wall_time_without_perturbing_the_run() {
         let (path, ns) = line.rsplit_once(' ').expect("line is `path ns`");
         assert!(path.starts_with("run_loop"), "stack not rooted: {line}");
         ns.parse::<u64>().expect("trailing field is nanoseconds");
+    }
+}
+
+/// Recovery adds no second way to profile: a profiled run driven with a
+/// rollback budget and periodic checkpoints yields the same set of
+/// span paths as the plain profiled run, every one rooted at
+/// `run_loop`.
+#[test]
+fn recoverable_run_profiles_the_same_span_tree() {
+    let cfg = SystemConfig::paper_default();
+    let mix = Mix::by_id("HM1").expect("known mix");
+    let profiled = RunSpec {
+        obs: Some(ObsConfig {
+            profile: true,
+            ..ObsConfig::default()
+        }),
+        ..RunSpec::fresh(mix, SchemeKind::CampsMod, tiny(), 21)
+    };
+    let recoverable = RunSpec {
+        recovery: RecoveryPolicy {
+            max_recoveries: 1,
+            checkpoint_every: Some(2_000),
+            checkpoint_path: None,
+        },
+        ..profiled.clone()
+    };
+    let paths = |spec: &RunSpec| -> Option<BTreeSet<String>> {
+        let (result, _) = run(&cfg, spec).expect("profiled run");
+        let summary = result.profile?;
+        Some(summary.nodes.into_iter().map(|n| n.path).collect())
+    };
+    let (Some(plain), Some(recovering)) = (paths(&profiled), paths(&recoverable)) else {
+        assert!(
+            !camps_obs::TraceHandle::compiled(),
+            "a profiled run must carry a summary when the hooks are compiled in"
+        );
+        return;
+    };
+    assert_eq!(plain, recovering, "recovery changed the span tree");
+    for path in &recovering {
+        assert!(
+            path == "run_loop" || path.starts_with("run_loop;"),
+            "span not rooted at run_loop: {path}"
+        );
     }
 }
 
