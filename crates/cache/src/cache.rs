@@ -122,12 +122,10 @@ impl Cache {
         })
     }
 
-    /// Removes `addr`'s line if resident; returns whether it was dirty.
-    pub fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
-        let (set, tag) = self.index(addr);
-        let lines = &mut self.sets[set];
-        let pos = lines.iter().position(|l| l.tag == tag)?;
-        Some(lines.remove(pos).dirty)
+    /// Counts `n` lookups that missed, as `n` missing [`Self::access`]
+    /// calls would.
+    pub fn charge_misses(&mut self, n: u64) {
+        self.stats.accesses.total.add(n);
     }
 
     /// Statistics so far.
@@ -275,13 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_reports_dirtiness() {
-        let mut c = small();
-        c.fill(PhysAddr(0x0), false);
-        c.access(PhysAddr(0x0), true);
-        assert_eq!(c.invalidate(PhysAddr(0x0)), Some(true));
-        assert_eq!(c.invalidate(PhysAddr(0x0)), None);
-        assert!(!c.contains(PhysAddr(0x0)));
+    fn charged_misses_match_missing_lookups() {
+        let (mut looked, mut charged) = (small(), small());
+        looked.fill(PhysAddr(0x0), false);
+        charged.fill(PhysAddr(0x0), false);
+        for _ in 0..3 {
+            assert!(!looked.access(PhysAddr(0x1000), false));
+        }
+        charged.charge_misses(3);
+        assert_eq!(looked.stats(), charged.stats());
     }
 
     proptest! {

@@ -155,6 +155,24 @@ impl CacheHierarchy {
             || self.l2.iter().any(|c| c.contains(addr))
     }
 
+    /// True if `addr` is resident in `core`'s L1 or L2 or in the shared
+    /// L3 (no LRU update, no statistics): whether `core`'s demand access
+    /// would hit on chip.
+    #[must_use]
+    pub fn holds(&self, core: usize, addr: PhysAddr) -> bool {
+        self.l1[core].contains(addr) || self.l2[core].contains(addr) || self.l3.contains(addr)
+    }
+
+    /// Counts `accesses` demand accesses by `core` that missed all three
+    /// levels: exactly the statistics that many [`Self::access`] calls
+    /// missing everywhere record, since a miss touches no LRU state and
+    /// fills nothing.
+    pub fn charge_misses(&mut self, core: usize, accesses: u64) {
+        self.l1[core].charge_misses(accesses);
+        self.l2[core].charge_misses(accesses);
+        self.l3.charge_misses(accesses);
+    }
+
     /// Fills `addr` into the shared L3 only — unsolicited cache pushes
     /// from the memory side (`push_to_llc`). Dirty victims surface as
     /// writebacks like any other fill.

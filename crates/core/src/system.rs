@@ -80,6 +80,15 @@ pub struct MemorySubsystem {
     /// Observability hooks (runtime-only; excluded from `Snapshot` so
     /// checkpoints are byte-identical with and without tracing).
     obs: TraceHandle,
+    /// Moves on every change that could turn a refused port call into an
+    /// accepted one: an MSHR allocated or freed, a line filled at any
+    /// level, host-queue headroom grown. A refused call never moves it.
+    /// Runtime-only: cores refused at one epoch sleep until the next.
+    epoch: u64,
+    /// A port call was refused for want of host-queue headroom, so the
+    /// next headroom growth must move the epoch. Runtime-only; while it
+    /// is clear no call waits on headroom and the tick skips the check.
+    headroom_wait: bool,
 }
 
 impl MemorySubsystem {
@@ -113,7 +122,28 @@ impl MemorySubsystem {
             ),
             responses_delivered: 0,
             obs: TraceHandle::disabled(),
+            epoch: 0,
+            headroom_wait: false,
         })
+    }
+
+    /// The refusal epoch (see the field): a port call refused at one
+    /// epoch is refused again, with the same side effects, until the
+    /// epoch moves.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Side-effect-free probe: true if a load or store of `addr` by
+    /// `core` would be refused now — the line is on none of `core`'s
+    /// levels, its block has no MSHR, and either the MSHRs are full or
+    /// the owning cube has no host-queue headroom.
+    #[must_use]
+    pub fn would_refuse(&self, core: CoreId, addr: PhysAddr) -> bool {
+        !self.hierarchy.holds(usize::from(core.0), addr)
+            && !self.mshrs.contains(addr)
+            && (self.mshrs.is_full() || self.topo.headroom_for(addr) == 0)
     }
 
     /// Direct access to the host-attached cube (tests and single-cube
@@ -241,7 +271,15 @@ impl MemorySubsystem {
 
         self.resp_scratch.clear();
         let mut responses = std::mem::take(&mut self.resp_scratch);
+        // No cube's headroom shrinks inside the pool's tick (launches
+        // free slots; fabric arrivals trade an in-transit reservation for
+        // a slot), so a changed total means some cube's headroom grew.
+        let room = self.headroom_wait.then(|| self.topo.total_headroom());
         self.topo.tick(now, &mut responses, prof);
+        if room.is_some_and(|r| self.topo.total_headroom() != r) {
+            self.epoch += 1;
+            self.headroom_wait = false;
+        }
 
         prof.enter(Comp::CacheFill);
         for resp in &responses {
@@ -253,6 +291,7 @@ impl MemorySubsystem {
                 self.hierarchy.fill_llc_only(resp.addr, &mut wbs);
                 self.writeback_q.extend(wbs.drain(..));
                 self.wb_scratch = wbs;
+                self.epoch += 1;
                 continue;
             }
             // Every solicited response closes out an audited request;
@@ -281,6 +320,8 @@ impl MemorySubsystem {
                 continue;
             }
             let waiters = self.mshrs.complete(resp.addr);
+            // An MSHR freed and a line landed.
+            self.epoch += 1;
             self.wb_scratch.clear();
             let mut wbs = std::mem::take(&mut self.wb_scratch);
             if waiters == [CORE_PF_WAITER] {
@@ -335,6 +376,7 @@ impl MemorySubsystem {
                 return; // never squeeze demand
             }
             self.mshrs.allocate(target, CORE_PF_WAITER);
+            self.epoch += 1;
             let id = self.fresh_id();
             self.obs
                 .issue(id.0, core.0, target.0, ReqClass::CorePrefetch, now, now);
@@ -443,6 +485,18 @@ impl Snapshot for MemorySubsystem {
 }
 
 impl MemorySubsystem {
+    /// True if a miss to a block without an MSHR must be refused: the
+    /// MSHRs are full, or the owning cube has no host-queue headroom (then
+    /// noted in `headroom_wait`).
+    fn refuses(&mut self, addr: PhysAddr) -> bool {
+        if self.mshrs.is_full() {
+            return true;
+        }
+        let blocked = self.topo.headroom_for(addr) == 0;
+        self.headroom_wait |= blocked;
+        blocked
+    }
+
     /// Demand-load L3 miss: merge into (or allocate) an MSHR and inject
     /// the read into the cube pool.
     fn load_miss(
@@ -457,16 +511,18 @@ impl MemorySubsystem {
         if self.mshrs.contains(addr) {
             let token = Self::token(core, slot);
             self.mshrs.allocate(addr, token);
+            self.epoch += 1;
             let issued = self.first_attempt.remove(&(core.0, block)).unwrap_or(now);
             self.issue_cycle.insert(token, issued);
             return PortResult::Accepted;
         }
-        if self.mshrs.is_full() || self.topo.headroom_for(addr) == 0 {
+        if self.refuses(addr) {
             self.first_attempt.entry((core.0, block)).or_insert(now);
             return PortResult::Rejected;
         }
         let token = Self::token(core, slot);
         self.mshrs.allocate(addr, token);
+        self.epoch += 1;
         let issued = self.first_attempt.remove(&(core.0, block)).unwrap_or(now);
         self.issue_cycle.insert(token, issued);
         let id = self.fresh_id();
@@ -502,14 +558,16 @@ impl MemorySubsystem {
         let block = addr.0 & self.block_mask;
         if self.mshrs.contains(addr) {
             self.mshrs.allocate(addr, STORE_WAITER);
+            self.epoch += 1;
             self.issue_cycle.entry(STORE_WAITER).or_insert(now);
             self.dirty_fills.insert(block);
             return true;
         }
-        if self.mshrs.is_full() || self.topo.headroom_for(addr) == 0 {
+        if self.refuses(addr) {
             return false;
         }
         self.mshrs.allocate(addr, STORE_WAITER);
+        self.epoch += 1;
         self.dirty_fills.insert(block);
         let id = self.fresh_id();
         self.obs
@@ -546,7 +604,9 @@ impl MemoryPort for MemorySubsystem {
         self.writeback_q.extend(wbs.drain(..));
         self.wb_scratch = wbs;
         match outcome {
-            HierarchyOutcome::Hit { latency, .. } => {
+            HierarchyOutcome::Hit { level, latency } => {
+                // An L2/L3 hit refills the levels above it.
+                self.epoch += u64::from(level > 1);
                 self.amat_all.record(latency as f64);
                 PortResult::Hit { latency }
             }
@@ -568,7 +628,10 @@ impl MemoryPort for MemorySubsystem {
         self.writeback_q.extend(wbs.drain(..));
         self.wb_scratch = wbs;
         match outcome {
-            HierarchyOutcome::Hit { .. } => true,
+            HierarchyOutcome::Hit { level, .. } => {
+                self.epoch += u64::from(level > 1);
+                true
+            }
             HierarchyOutcome::Miss { lookup_latency } => {
                 let t = prof.stamp();
                 let r = self.store_miss(now, core, addr, lookup_latency);
@@ -685,9 +748,18 @@ pub struct System {
     engine: Engine,
     /// The core calendar: each core's cached wake cycle ([`ASLEEP`] while
     /// it waits on a memory response). Under the event engine a core
-    /// ticks at `now` iff its entry is `<= now`. Runtime-only; re-armed
-    /// on every load completion, on restore and on an engine switch.
+    /// ticks at `now` iff its entry is `<= now` or it is refusal-blocked
+    /// and the memory epoch has moved. Runtime-only; re-armed on every
+    /// load completion, on restore and on an engine switch.
     core_wakes: Vec<Cycle>,
+    /// Per core, the memory epoch ([`MemorySubsystem::epoch`]) its last
+    /// tick ended at, if that tick ended with a port call refused
+    /// ([`Core::refused_calls`]). Runtime-only, like `core_wakes`.
+    refused_at: Vec<Option<u64>>,
+    /// Cores with a `refused_at` entry. While any is set the run loop
+    /// never jumps: a memory-side change wakes them, and no wake
+    /// predicts one.
+    refused_cores: usize,
     /// Core ticks run / skipped, per core. Host-only work counters:
     /// never serialized, never part of the results.
     core_ticks: Vec<TickStat>,
@@ -741,6 +813,8 @@ impl System {
         Ok(Self {
             cfg: cfg.clone(),
             core_wakes: vec![0; cores.len()],
+            refused_at: vec![None; cores.len()],
+            refused_cores: 0,
             core_ticks: vec![TickStat::default(); cores.len()],
             cores,
             mem: MemorySubsystem::new(cfg, scheme)?,
@@ -768,7 +842,19 @@ impl System {
     /// the calendar stale).
     fn rearm_cores(&mut self) {
         for (wake, core) in self.core_wakes.iter_mut().zip(&self.cores) {
-            *wake = core.next_event(self.now).unwrap_or(ASLEEP);
+            *wake = Self::wake_of(core, self.now);
+        }
+        self.refused_at.fill(None);
+        self.refused_cores = 0;
+    }
+
+    /// A core's calendar entry after an input at `now`. A core whose last
+    /// tick was refused is due: only a tick tells whether it still is.
+    fn wake_of(core: &Core, now: Cycle) -> Cycle {
+        if core.refused() {
+            now + 1
+        } else {
+            core.next_event(now).unwrap_or(ASLEEP)
         }
     }
 
@@ -955,14 +1041,19 @@ impl System {
             let next = self.now + 1;
             let mut wake: Option<Cycle> = None;
             let mut source = WakeSource::Deadline;
+            if self.refused_cores > 0 {
+                // A refusal-blocked core wakes on a memory-side change.
+                wake = Some(next);
+                source = WakeSource::Core;
+            }
             for &at in &self.core_wakes {
+                if wake == Some(next) {
+                    break; // can't skip anything; don't scan the memory side
+                }
                 let before = wake;
                 fold_wake(&mut wake, self.now, (at != ASLEEP).then_some(at));
                 if wake != before {
                     source = WakeSource::Core;
-                }
-                if wake == Some(next) {
-                    break; // can't skip anything; don't scan the memory side
                 }
             }
             if wake != Some(next) {
@@ -1029,22 +1120,46 @@ impl System {
         let event = self.engine == Engine::Event;
         self.prof.enter(Comp::CoreRetire);
         for (i, core) in self.cores.iter_mut().enumerate() {
-            if event && self.core_wakes[i] > self.now {
-                // Not due: the tick would only account an idle cycle. A
-                // fresh wake at or before `now` means something changed
-                // the core without re-arming it.
+            // A refused core is due once the memory side has changed,
+            // whether by an earlier core's tick this cycle or by anything
+            // since its own tick.
+            if event
+                && self.core_wakes[i] > self.now
+                && self.refused_at[i].is_none_or(|e| e == self.mem.epoch())
+            {
+                // Not due: the tick would only account an idle cycle and
+                // repeat its refused port calls. A fresh wake at or before
+                // `now` means something changed the core without re-arming
+                // it; a call that would now succeed means the memory side
+                // changed without moving the epoch.
                 debug_assert!(
                     core.next_event(self.now - 1).is_none_or(|w| w > self.now),
                     "core {i} skipped at {} but due by its own wake",
                     self.now
                 );
+                debug_assert!(
+                    core.refused_calls()
+                        .all(|addr| self.mem.would_refuse(core.id(), addr)),
+                    "core {i} skipped at {} but its refused call would succeed",
+                    self.now
+                );
                 core.skip_idle(1);
+                if core.refused() {
+                    let calls = core.refused_calls().count() as u64;
+                    self.mem.hierarchy.charge_misses(i, calls);
+                }
                 self.core_ticks[i].skipped += 1;
             } else {
                 core.tick(self.now, &mut self.mem, &mut self.prof);
                 self.core_ticks[i].run += 1;
                 if event {
                     self.core_wakes[i] = core.next_event(self.now).unwrap_or(ASLEEP);
+                    if core.refused() || self.refused_at[i].is_some() {
+                        let refused = core.refused().then(|| self.mem.epoch());
+                        self.refused_cores = self.refused_cores + usize::from(refused.is_some())
+                            - usize::from(self.refused_at[i].is_some());
+                        self.refused_at[i] = refused;
+                    }
                 }
             }
             if state.done_at[i].is_none() && core.stats().retired.get() >= state.instructions {
@@ -1069,7 +1184,7 @@ impl System {
                 }));
             };
             c.complete_load(slot);
-            self.core_wakes[idx] = c.next_event(self.now).unwrap_or(ASLEEP);
+            self.core_wakes[idx] = Self::wake_of(c, self.now);
         }
         if let Some(violation) = self.mem.take_violation() {
             return Err(SimError::Integrity(violation));
@@ -1788,5 +1903,111 @@ mod core_prefetch_tests {
             camps_cpu::core_model::PortResult::Rejected
                 | camps_cpu::core_model::PortResult::Accepted
         ));
+    }
+}
+
+#[cfg(test)]
+mod epoch_tests {
+    use super::*;
+    use camps_cpu::core_model::{MemoryPort, PortResult};
+
+    fn load(m: &mut MemorySubsystem, now: Cycle, core: u8, slot: u64, addr: u64) -> PortResult {
+        m.load(
+            now,
+            CoreId(core),
+            slot,
+            PhysAddr(addr),
+            &mut Profiler::off(),
+        )
+    }
+
+    /// Asserts that `f` moves (or, with `moves == false`, keeps) the epoch.
+    fn check(
+        m: &mut MemorySubsystem,
+        moves: bool,
+        what: &str,
+        f: impl FnOnce(&mut MemorySubsystem),
+    ) {
+        let before = m.epoch();
+        f(m);
+        assert_eq!(m.epoch() != before, moves, "{what}");
+    }
+
+    #[test]
+    fn mshr_changes_and_fills_move_the_epoch() {
+        let mut m = MemorySubsystem::new(&SystemConfig::small(), SchemeKind::Nopf).unwrap();
+        check(&mut m, true, "a primary MSHR allocate", |m| {
+            assert_eq!(load(m, 1, 0, 1, 0x2000), PortResult::Accepted);
+        });
+        check(&mut m, true, "a merged MSHR allocate", |m| {
+            assert_eq!(load(m, 1, 1, 2, 0x2008), PortResult::Accepted);
+        });
+        check(&mut m, true, "a store's MSHR allocate", |m| {
+            assert!(m.store(1, CoreId(0), PhysAddr(0x8000), &mut Profiler::off()));
+        });
+        // The response tick frees the block's MSHR and fills its line.
+        let mut woken = Vec::new();
+        let mut now = 1;
+        loop {
+            now += 1;
+            let before = m.epoch();
+            m.tick(now, &mut woken, &mut Profiler::off());
+            if !woken.is_empty() {
+                assert_ne!(m.epoch(), before, "a response fill and MSHR free");
+                break;
+            }
+            assert!(now < 100_000, "the load never completed");
+        }
+        // The fill went to core 0's levels and the L3: core 1 finds the
+        // line in the L3 and refills its L1/L2; core 0's L1 hit adds no
+        // line anywhere.
+        check(&mut m, true, "an L3-hit refill", |m| {
+            assert!(matches!(load(m, now, 1, 3, 0x2000), PortResult::Hit { .. }));
+        });
+        check(&mut m, false, "an L1 hit", |m| {
+            assert!(matches!(load(m, now, 0, 4, 0x2000), PortResult::Hit { .. }));
+        });
+    }
+
+    #[test]
+    fn refused_calls_keep_the_epoch() {
+        let mut cfg = SystemConfig::small();
+        cfg.l3.mshrs = 1;
+        let mut m = MemorySubsystem::new(&cfg, SchemeKind::Nopf).unwrap();
+        assert_eq!(load(&mut m, 1, 0, 1, 0x0), PortResult::Accepted);
+        check(&mut m, false, "a refused load", |m| {
+            assert_eq!(load(m, 2, 0, 2, 0x1000), PortResult::Rejected);
+        });
+        check(&mut m, false, "a refused store", |m| {
+            assert!(!m.store(2, CoreId(1), PhysAddr(0x3000), &mut Profiler::off()));
+        });
+        assert!(m.would_refuse(CoreId(0), PhysAddr(0x1000)));
+        assert!(!m.would_refuse(CoreId(0), PhysAddr(0x0)), "merges");
+    }
+
+    #[test]
+    fn host_queue_headroom_growth_moves_the_epoch() {
+        let mut m = MemorySubsystem::new(&SystemConfig::small(), SchemeKind::Nopf).unwrap();
+        let mut id = 1_000;
+        while m.hmc_mut().submit(MemRequest {
+            id: RequestId(id),
+            addr: PhysAddr(id * 64),
+            kind: AccessKind::Read,
+            core: CoreId(0),
+            created_at: 0,
+        }) {
+            id += 1;
+        }
+        check(&mut m, false, "a load refused for headroom", |m| {
+            assert_eq!(load(m, 1, 0, 1, 0x40), PortResult::Rejected);
+        });
+        assert!(m.would_refuse(CoreId(0), PhysAddr(0x40)));
+        // The first tick launches host-queue requests onto the links and
+        // touches nothing else.
+        check(&mut m, true, "headroom growth", |m| {
+            m.tick(2, &mut Vec::new(), &mut Profiler::off());
+        });
+        assert_eq!(m.mshr_in_flight(), 0);
+        assert!(!m.would_refuse(CoreId(0), PhysAddr(0x40)));
     }
 }

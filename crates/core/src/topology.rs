@@ -161,10 +161,19 @@ impl Topology {
         if self.cubes.len() == 1 {
             return self.cubes[0].headroom();
         }
-        let cube = usize::from(self.cube_map.cube_of(addr));
-        self.cubes[cube]
-            .headroom()
-            .saturating_sub(self.in_transit[cube].min(self.cubes[cube].headroom()))
+        self.cube_headroom(usize::from(self.cube_map.cube_of(addr)))
+    }
+
+    fn cube_headroom(&self, cube: usize) -> usize {
+        let room = self.cubes[cube].headroom();
+        room - self.in_transit[cube].min(room)
+    }
+
+    /// Host-queue slots available across the pool: the sum of every
+    /// cube's [`Self::headroom_for`].
+    #[must_use]
+    pub fn total_headroom(&self) -> usize {
+        (0..self.cubes.len()).map(|c| self.cube_headroom(c)).sum()
     }
 
     /// Offers a request (global address) to the pool. `false` means the

@@ -148,6 +148,12 @@ pub struct Core {
     stalled: VecDeque<u64>,
     /// ROB entries retired so far (the sequence number of the ROB head).
     popped: u64,
+    /// The last tick ended with the oldest stalled entry a load the port
+    /// refused. Runtime-only: reset by every tick and by restore.
+    load_refused: bool,
+    /// The last tick ended with the store-buffer head refused by the
+    /// port. Runtime-only: reset by every tick and by restore.
+    store_refused: bool,
     stats: CoreStats,
 }
 
@@ -170,6 +176,8 @@ impl Core {
             completed: IntSet::default(),
             stalled: VecDeque::new(),
             popped: 0,
+            load_refused: false,
+            store_refused: false,
             stats: CoreStats::default(),
         }
     }
@@ -211,22 +219,49 @@ impl Core {
         self.completed.insert(slot);
     }
 
+    /// True if the port refused any call of this core's last tick (see
+    /// [`Core::refused_calls`]).
+    #[must_use]
+    pub fn refused(&self) -> bool {
+        self.load_refused || self.store_refused
+    }
+
+    /// The port calls this core's last tick had refused, and so every
+    /// further tick makes again until the memory side changes: the
+    /// store-buffer head's address, then the oldest stalled load's.
+    pub fn refused_calls(&self) -> impl Iterator<Item = PhysAddr> + '_ {
+        let store = self.store_buffer.front().filter(|_| self.store_refused);
+        let load =
+            self.stalled
+                .front()
+                .and_then(|&seq| match self.rob[(seq - self.popped) as usize] {
+                    RobEntry::StalledLoad(addr) if self.load_refused => Some(addr),
+                    _ => None,
+                });
+        store.copied().into_iter().chain(load)
+    }
+
     /// Accounts for `cycles` skipped cycles during which this core was
     /// quiescent (the event engine's bulk replay of what per-cycle polling
     /// would have recorded): every skipped cycle counts as simulated, and
-    /// if the ROB head is an incomplete load each one is a memory stall —
-    /// exactly what [`Core::tick`] would have done, cycle by cycle.
+    /// if the ROB head is an incomplete load each one is a memory stall;
+    /// a core blocked on a refused load also counts one rejection per
+    /// cycle — exactly what [`Core::tick`] would have done, cycle by
+    /// cycle. (The refused calls' cache misses are the caller's to
+    /// charge; see [`Core::refused_calls`].)
     ///
     /// Only legal when [`Wake::next_event`] deemed the core quiescent past
     /// the skipped range (debug-asserted).
     pub fn skip_idle(&mut self, cycles: u64) {
         debug_assert!(
-            self.store_buffer.is_empty() && self.rob.len() == self.rob_cap,
+            self.rob.len() == self.rob_cap && (self.store_buffer.is_empty() || self.store_refused),
             "skip_idle on a non-quiescent core"
         );
         self.stats.cycles.add(cycles);
         match self.rob.front() {
-            Some(RobEntry::HitLoad(_)) => self.stats.load_stall_cycles.add(cycles),
+            Some(RobEntry::HitLoad(_) | RobEntry::StalledLoad(_)) => {
+                self.stats.load_stall_cycles.add(cycles);
+            }
             Some(RobEntry::PendingLoad(slot)) => {
                 debug_assert!(
                     !self.completed.contains(slot),
@@ -234,16 +269,20 @@ impl Core {
                 );
                 self.stats.load_stall_cycles.add(cycles);
             }
-            // Ready(at > now) blocks retirement without any stall counter
-            // (`retire`'s catch-all break); Stalled* heads are excluded by
-            // the quiescence check in `next_event`.
+            // Ready(at > now) and StalledStore heads block retirement
+            // without any stall counter (`retire`'s catch-all break).
             _ => {}
+        }
+        if self.load_refused {
+            self.stats.rejections.add(cycles);
         }
     }
 
     /// Advances the core by one cycle against `port`.
     pub fn tick(&mut self, now: Cycle, port: &mut impl MemoryPort, prof: &mut Profiler) {
         self.stats.cycles.inc();
+        self.load_refused = false;
+        self.store_refused = false;
         self.drain_store_buffer(now, port, prof);
         self.retry_stalled(now, port, prof);
         self.retire(now);
@@ -268,6 +307,7 @@ impl Core {
                         }
                         PortResult::Rejected => {
                             self.stats.rejections.inc();
+                            self.load_refused = true;
                             return; // keep ordering: stop at first stall
                         }
                     }
@@ -304,6 +344,8 @@ impl Core {
             if port.store(now, self.id, addr, prof) {
                 self.store_buffer.pop_front();
                 self.stats.stores.inc();
+            } else {
+                self.store_refused = true;
             }
         }
     }
@@ -371,6 +413,9 @@ impl Core {
                         self.stats.loads.inc();
                     }
                     PortResult::Rejected => {
+                        // With no older stalled entry, the next retry
+                        // starts with this call.
+                        self.load_refused |= self.stalled.is_empty();
                         self.push_stalled(RobEntry::StalledLoad(addr));
                         self.stats.rejections.inc();
                         return;
@@ -394,23 +439,37 @@ impl Wake for Core {
     /// A core must tick on the very next cycle whenever anything in it can
     /// act: a store waiting to drain, ROB space to issue into (the trace
     /// never ends, so issue always makes progress), a stalled entry to
-    /// retry against the port, or a retirable head. The only quiescent
-    /// shape is a full ROB whose head is waiting on time (wake at its
+    /// retry against the port, or a retirable head. The quiescent shapes
+    /// have a full ROB whose head is waiting on time (wake at its
     /// completion cycle) or on a memory response (wake on the response —
     /// an external event, so `None` here).
+    ///
+    /// A store or stalled entry whose port call the last tick had refused
+    /// waits on an external event too: the call's outcome changes only
+    /// when the memory side does (an MSHR allocated or freed, a line
+    /// filled, host-queue room freed), so the driver wakes the core on
+    /// that change. A stalled store behind a full store buffer waits on
+    /// the store-buffer head.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.store_buffer.is_empty() || self.rob.len() < self.rob_cap {
+        if self.rob.len() < self.rob_cap || (!self.store_buffer.is_empty() && !self.store_refused) {
             return Some(now + 1);
         }
-        if !self.stalled.is_empty() {
-            return Some(now + 1);
+        if let Some(&seq) = self.stalled.front() {
+            let refused = match self.rob[(seq - self.popped) as usize] {
+                RobEntry::StalledLoad(_) => self.load_refused,
+                _ => self.store_refused && self.store_buffer.len() == self.store_cap,
+            };
+            if !refused {
+                return Some(now + 1);
+            }
         }
         match self.rob.front() {
             Some(&(RobEntry::Ready(at) | RobEntry::HitLoad(at))) => Some(at.max(now + 1)),
             Some(&RobEntry::PendingLoad(slot)) => self.completed.contains(&slot).then_some(now + 1),
-            // Stalled heads were handled above; an empty ROB is below
-            // capacity. Conservative fallback: tick next cycle.
-            _ => Some(now + 1),
+            // A stalled head is the refused entry checked above.
+            Some(RobEntry::StalledLoad(_) | RobEntry::StalledStore(_)) => None,
+            // An empty ROB is below capacity.
+            None => Some(now + 1),
         }
     }
 }
@@ -446,6 +505,8 @@ impl Snapshot for Core {
             .map(|(i, _)| i as u64)
             .collect();
         self.rob = rob;
+        self.load_refused = false;
+        self.store_refused = false;
         self.store_buffer = decode(state, "store_buffer")?;
         self.pending_gap = decode(state, "pending_gap")?;
         self.pending_mem = decode(state, "pending_mem")?;
@@ -679,14 +740,27 @@ mod tests {
     }
 
     /// Rejects every load before `open_at`, then accepts `per_cycle`
-    /// loads a cycle as cache hits; takes stores only from `open_at` on.
-    /// Logs every load attempt as `(cycle, addr, accepted)`.
+    /// loads a cycle as cache hits of `latency`; takes stores only from
+    /// `open_at` on. Logs every load attempt as `(cycle, addr, accepted)`.
     #[derive(Clone)]
     struct GatedPort {
         open_at: Cycle,
         per_cycle: usize,
+        latency: Cycle,
         used: (Cycle, usize),
         log: Vec<(Cycle, PhysAddr, bool)>,
+    }
+
+    impl GatedPort {
+        fn new(open_at: Cycle, per_cycle: usize, latency: Cycle) -> Self {
+            Self {
+                open_at,
+                per_cycle,
+                latency,
+                used: (0, 0),
+                log: Vec::new(),
+            }
+        }
     }
 
     impl MemoryPort for GatedPort {
@@ -705,7 +779,9 @@ mod tests {
             self.used.1 += usize::from(ok);
             self.log.push((now, addr, ok));
             if ok {
-                PortResult::Hit { latency: 3 }
+                PortResult::Hit {
+                    latency: self.latency,
+                }
             } else {
                 PortResult::Rejected
             }
@@ -760,12 +836,7 @@ mod tests {
             })
             .collect();
         let mut a = Core::new(CoreId(0), &c, Box::new(VecTrace::new("gated", ops.clone())));
-        let mut port_a = GatedPort {
-            open_at: 60,
-            per_cycle: 2,
-            used: (0, 0),
-            log: Vec::new(),
-        };
+        let mut port_a = GatedPort::new(60, 2, 3);
         run(&mut a, &mut port_a, 40);
 
         // Mid-stall: ALU ops separate the stalled loads, and the full
@@ -792,6 +863,95 @@ mod tests {
         assert!(a.stats().retired.get() > 200, "{:?}", a.stats());
         // Opening the port un-stalls two loads in one cycle, then stops.
         assert_eq!(assert_retries_oldest_first(&port_a.log), 2);
+    }
+
+    /// Ticks two identical cores on `ops` through cycle `setup`, against
+    /// `port_at(now)` each cycle, until both are blocked on refused port
+    /// calls with wake `wake`. Then one ticks `n` more cycles and the
+    /// other calls `skip_idle(n)`: their statistics must agree. Returns
+    /// the skipped core.
+    fn assert_refused_skip(
+        c: &CpuConfig,
+        ops: &[TraceOp],
+        port_at: impl Fn(Cycle) -> GatedPort,
+        setup: Cycle,
+        wake: Option<Cycle>,
+    ) -> Core {
+        let core = || {
+            Core::new(
+                CoreId(0),
+                c,
+                Box::new(VecTrace::new("refused", ops.to_vec())),
+            )
+        };
+        let (mut ticked, mut skipped) = (core(), core());
+        for now in 1..=setup {
+            ticked.tick(now, &mut port_at(now), &mut Profiler::off());
+            skipped.tick(now, &mut port_at(now), &mut Profiler::off());
+        }
+        assert_eq!(skipped.rob_occupancy(), c.rob_entries as usize);
+        assert!(skipped.refused_calls().next().is_some(), "nothing refused");
+        assert_eq!(skipped.next_event(setup), wake);
+        let n = 40;
+        for now in setup + 1..=setup + n {
+            ticked.tick(now, &mut port_at(now), &mut Profiler::off());
+        }
+        skipped.skip_idle(n);
+        assert_eq!(ticked.stats(), skipped.stats());
+        skipped
+    }
+
+    #[test]
+    fn refused_stalled_load_sleeps_and_skips_like_ticks() {
+        let ops: Vec<TraceOp> = (0..1_000u64)
+            .map(|i| TraceOp::load(3, PhysAddr(0x1000 + i * 64)))
+            .collect();
+        let closed = |_| GatedPort::new(Cycle::MAX, 1, 3);
+        let core = assert_refused_skip(&cfg(), &ops, closed, 100, None);
+        assert!(matches!(core.rob.front(), Some(RobEntry::StalledLoad(_))));
+        assert!(core.stats().rejections.get() > 40);
+    }
+
+    #[test]
+    fn refused_store_drain_sleeps_and_skips_like_ticks() {
+        let mut c = cfg();
+        c.store_buffer_entries = 4;
+        let ops: Vec<TraceOp> = (0..1_000u64)
+            .map(|i| TraceOp::store(1, PhysAddr(0x1000 + i * 64)))
+            .collect();
+        let closed = |_| GatedPort::new(Cycle::MAX, 1, 3);
+        let core = assert_refused_skip(&c, &ops, closed, 200, None);
+        // The full store buffer holds a stalled store at the ROB head.
+        assert_eq!(core.store_buffer.len(), 4);
+        assert!(matches!(core.rob.front(), Some(RobEntry::StalledStore(_))));
+        assert_eq!(core.refused_calls().count(), 1);
+    }
+
+    #[test]
+    fn refused_load_behind_a_timed_head_wakes_at_the_head() {
+        // The first load hits with a long latency; every later one is
+        // refused, so the ROB fills behind a head that is ready at 501.
+        let ops: Vec<TraceOp> = std::iter::once(TraceOp::load(0, PhysAddr(0x40)))
+            .chain((0..1_000u64).map(|i| TraceOp::load(3, PhysAddr(0x1000 + i * 64))))
+            .collect();
+        let port_at = |now| GatedPort::new(if now == 1 { 1 } else { Cycle::MAX }, 1, 500);
+        let core = assert_refused_skip(&cfg(), &ops, port_at, 100, Some(501));
+        assert_eq!(core.rob.front(), Some(&RobEntry::HitLoad(501)));
+    }
+
+    #[test]
+    fn restore_forgets_refused_calls() {
+        let ops: Vec<TraceOp> = (0..1_000u64)
+            .map(|i| TraceOp::load(3, PhysAddr(0x1000 + i * 64)))
+            .collect();
+        let closed = |_| GatedPort::new(Cycle::MAX, 1, 3);
+        let refused = assert_refused_skip(&cfg(), &ops, closed, 100, None);
+        let mut restored = Core::new(CoreId(0), &cfg(), Box::new(VecTrace::new("refused", ops)));
+        restored.restore_state(&refused.save_state()).unwrap();
+        // The refusal belongs to a memory side the snapshot does not
+        // pin down: the restored core retries on its next cycle.
+        assert_eq!(restored.refused_calls().count(), 0);
+        assert_eq!(restored.next_event(140), Some(141));
     }
 
     #[test]

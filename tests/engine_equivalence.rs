@@ -11,12 +11,18 @@
 //! due, so the inputs below also cover the cases where a single vault's
 //! wake matters most: deep double-sided hammer queues on a few vaults,
 //! and a stalled vault that is released mid-run.
+//!
+//! A core whose port calls were refused sleeps until the memory side
+//! changes, and its skipped retries are charged in closed form, cache
+//! misses included. `RunResult` does not carry cache statistics, so the
+//! whole serialized machine state is compared too.
 
 use camps::experiment::{run, RunLength, RunSpec};
-use camps::system::Engine;
+use camps::system::{Engine, RunState};
 use camps::System;
 use camps_cpu::trace::TraceSource;
 use camps_dram::TimingCpu;
+use camps_obs::ObsConfig;
 use camps_prefetch::SchemeKind;
 use camps_types::clock::Cycle;
 use camps_types::config::SystemConfig;
@@ -138,6 +144,18 @@ fn run_engine(
     len: &RunLength,
     quarantine_at: Option<Cycle>,
 ) -> (String, Option<Cycle>) {
+    let (mut sys, st, released) = step_engine(cfg, traces, engine, len, quarantine_at);
+    (canonical(&sys.run_finish(&st, "equiv").unwrap()), released)
+}
+
+/// [`run_engine`]'s run loop, stopped before `run_finish`.
+fn step_engine(
+    cfg: &SystemConfig,
+    traces: Vec<Box<dyn TraceSource>>,
+    engine: Engine,
+    len: &RunLength,
+    quarantine_at: Option<Cycle>,
+) -> (System, RunState, Option<Cycle>) {
     let mut sys = System::new(cfg, SchemeKind::CampsMod, traces).unwrap();
     sys.set_engine(engine);
     sys.warmup(len.warmup_instructions);
@@ -149,19 +167,23 @@ fn run_engine(
             released = Some(sys.now());
         }
     }
-    (canonical(&sys.run_finish(&st, "equiv").unwrap()), released)
+    (sys, st, released)
+}
+
+/// Cycle horizon for the starved hammer streams, which never reach an
+/// instruction target.
+fn hammer_horizon(max_cycles: Cycle) -> RunLength {
+    RunLength {
+        warmup_instructions: 0,
+        instructions: u64::MAX,
+        max_cycles,
+    }
 }
 
 #[test]
 fn hammer_double_streams_are_bit_identical_across_engines() {
     let cfg = SystemConfig::paper_default();
-    // A cycle horizon ends the run: starved hammer cores never reach an
-    // instruction target.
-    let len = RunLength {
-        warmup_instructions: 0,
-        instructions: u64::MAX,
-        max_cycles: 40_000,
-    };
+    let len = hammer_horizon(40_000);
     let (polled, _) = run_engine(&cfg, hammer_traces(&cfg), Engine::Polling, &len, None);
     let (evented, _) = run_engine(&cfg, hammer_traces(&cfg), Engine::Event, &len, None);
     assert_eq!(polled, evented, "hammer-double: engines diverged");
@@ -219,4 +241,73 @@ fn stalled_then_quarantined_vault_is_bit_identical_across_engines() {
     assert_eq!(poll_at, Some(release));
     assert_eq!(ev_at, Some(release), "event engine jumped over the release");
     assert_eq!(polled, evented, "stall + quarantine: engines diverged");
+}
+
+#[test]
+fn whole_machine_state_is_identical_across_engines() {
+    let paper = SystemConfig::paper_default();
+    let mut two_cubes = paper.clone();
+    two_cubes.topology.cubes = 2;
+    // `None` runs the hammer streams, else the Table II mix.
+    let cases = [
+        (None, &paper, hammer_horizon(40_000)),
+        (Some("HM1"), &paper, RunLength::tiny()),
+        (Some("LM1"), &two_cubes, RunLength::tiny()),
+    ];
+    for (mix, cfg, len) in cases {
+        let name = format!(
+            "{} on {} cube(s)",
+            mix.unwrap_or("hammer"),
+            cfg.topology.cubes
+        );
+        let state = |engine| {
+            let traces = match mix {
+                None => hammer_traces(cfg),
+                Some(id) => {
+                    let capacity = cfg.cube_map().unwrap().capacity_bytes();
+                    Mix::by_id(id).unwrap().build_traces(capacity, 5).unwrap()
+                }
+            };
+            let (sys, _, _) = step_engine(cfg, traces, engine, &len, None);
+            (sys.now(), serde_json::to_string(&sys.save_state()).unwrap())
+        };
+        let (polled_at, polled) = state(Engine::Polling);
+        let (evented_at, evented) = state(Engine::Event);
+        assert_eq!(polled_at, evented_at, "{name}: runs ended apart");
+        assert!(polled == evented, "{name}: machine states diverged");
+    }
+}
+
+#[test]
+fn refused_cores_sleep_through_hammer_streams() {
+    // Starved hammer cores spend most cycles refused by a full MSHR
+    // file. Asleep until the memory side changes, they tick on a few
+    // percent of cycles, and their charged rejections match polling's.
+    let cfg = SystemConfig::paper_default();
+    let len = hammer_horizon(100_000);
+    let rejections = |r: &camps::metrics::RunResult| -> u64 {
+        r.core_stats.iter().map(|c| c.rejections.get()).sum()
+    };
+    let (mut polled, st, _) = step_engine(&cfg, hammer_traces(&cfg), Engine::Polling, &len, None);
+    let polled = polled.run_finish(&st, "work").unwrap();
+    let mut sys = System::new(&cfg, SchemeKind::CampsMod, hammer_traces(&cfg)).unwrap();
+    sys.enable_obs(&ObsConfig {
+        profile: true,
+        ..ObsConfig::default()
+    });
+    let mut st = sys.run_begin(len.instructions, len.max_cycles);
+    while sys.run_step(&mut st).unwrap() {}
+    let result = sys.run_finish(&st, "work").unwrap();
+    assert_eq!(rejections(&result), rejections(&polled));
+    assert!(
+        rejections(&result) > 0,
+        "the hammer streams were never refused"
+    );
+    let profile = result.profile.expect("profiler enabled");
+    let run: u64 = profile.core_ticks.iter().map(|t| t.run).sum();
+    let slots = u64::from(cfg.cpu.cores) * result.cycles;
+    assert!(
+        run * 10 <= slots,
+        "{run} core ticks over {slots} core cycles exceeds 10%"
+    );
 }
